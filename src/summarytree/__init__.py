@@ -27,14 +27,7 @@ from .entropy_core import (
     node_pseudo_entropy,
     pseudo_to_entropy,
 )
-from .exact_solver import (
-    CostCounter,
-    DPTables,
-    reconstruct,
-    solve_exact,
-    sweep_near_prefix_class,
-    sweep_prefix_class,
-)
+from .exact_solver import DPTables, solve_exact
 from .generate import random_tree
 from .greedy_solver import solve_greedy
 from .oracle import BruteForceResult, brute_force_opt, count_summary_trees, enumerate_all
@@ -56,7 +49,6 @@ __all__ = [
     "ApproxResult",
     "BruteForceResult",
     "CanonicalTree",
-    "CostCounter",
     "DPTables",
     "EntropyBits",
     "InputTree",
@@ -81,13 +73,10 @@ __all__ = [
     "random_tree",
     "read_csv",
     "read_json",
-    "reconstruct",
     "reduce_tree",
     "rescale",
     "solve_approx",
     "solve_exact",
     "solve_greedy",
-    "sweep_near_prefix_class",
-    "sweep_prefix_class",
     "validate_summary_tree",
 ]

@@ -113,7 +113,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("--output", help="write the result JSON here (default: stdout)")
     p.add_argument("--dot", metavar="PREFIX", help="write PREFIX.k.dot per summary tree")
     p.add_argument("--stats", action="store_true", help="print run statistics JSON to stdout")
-    p.add_argument("--seed", type=int, help="accepted for flag symmetry with gen; unused when solving")
     return p
 
 

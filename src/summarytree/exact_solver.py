@@ -24,47 +24,31 @@ small tables, plus a fresh "absorb everything so far" entry at forest
 size 1.  Children v_1 .. v_{d_v - K + 1} can never be split off within a
 K-node budget, so they are absorbed into the sweep's seed unprocessed;
 this, together with the table caps at K-1, is what keeps the total
-sweep cost within the 2Kn pair-cost budget that ``CostCounter`` tracks.
+sweep cost within the 2Kn pair-cost budget that ``DPTables.pair_cost``
+tracks.
 
 Ties are broken deterministically: prefix class first, then near-prefix
 classes by increasing j, then the smallest left-table split inside a
-max-plus combination.
+max-plus combination.  The fill records the winning class of every
+table entry, so reconstruction replays only that one class, in record
+mode, to recover the split.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .entropy_core import _term, _terms
+from .entropy_core import _terms
 from .summary import InvariantError, SummaryNode, SummaryTree, attach_members
 from .tree_model import CanonicalTree
 
-__all__ = [
-    "CostCounter",
-    "DPTables",
-    "solve_exact",
-    "reconstruct",
-    "sweep_prefix_class",
-    "sweep_near_prefix_class",
-]
+__all__ = ["DPTables", "solve_exact"]
 
 NEG_INF = float("-inf")
-
-
-@dataclass
-class CostCounter:
-    """Accumulates the pairwise sweep cost sum(min(prefix, K) * min(child, K)).
-
-    One term is charged per prefix-class combining step, using the full
-    descendant count of the already-covered child prefix.  After a full
-    solve the total is at most 2*K*n.
-    """
-
-    pair_cost: int = 0
 
 
 @dataclass
@@ -115,9 +99,9 @@ def _skew_maxplus(G: np.ndarray, B: np.ndarray, want_arg: bool):
 
 
 def _sweep_tables(
-    tables: Sequence[np.ndarray],
-    sizes: Sequence[float],
-    counts: Sequence[int],
+    tables: list[np.ndarray],
+    sizes: np.ndarray,
+    counts: np.ndarray,
     pent,
     K: int,
     seed_weight: float,
@@ -171,57 +155,6 @@ def _sweep_tables(
     return G, steps, base_pos
 
 
-def sweep_prefix_class(
-    children: Sequence[tuple[Sequence[float], float, int]],
-    total_weight: float,
-    K: int,
-    forced_weights: Sequence[float] = (),
-) -> np.ndarray:
-    """Best forest table when the group may only absorb a child prefix.
-
-    ``children`` are (table, size, count) triples in nondecreasing size
-    order, where table[t-1] is the best pseudo-entropy of a t-node
-    summary tree of that subtree.  ``forced_weights`` are subtree weights
-    absorbed into the group before the sweep starts.  Returns G with
-    G[t-1] the best pseudo-entropy of a t-node summary forest.
-    """
-    tables = [np.asarray(tb, dtype=np.float64) for tb, _, _ in children]
-    sizes = [s for _, s, _ in children]
-    counts = [c for _, _, c in children]
-    pent = lambda x: _term(x, total_weight)
-    seed = float(sum(forced_weights))
-    G, _, _ = _sweep_tables(
-        tables, sizes, counts, pent, K, seed, bool(forced_weights), 1, 0, False
-    )
-    return G
-
-
-def sweep_near_prefix_class(
-    children: Sequence[tuple[Sequence[float], float, int]],
-    total_weight: float,
-    K: int,
-    j: int,
-    forced_weights: Sequence[float] = (),
-) -> np.ndarray:
-    """Best forest table when the group absorbs child ``j`` plus a prefix.
-
-    Identical to :func:`sweep_prefix_class` except the seed additionally
-    holds subtree j's weight and the sweep skips it.
-
-    Raises:
-        ValueError: j out of range.
-    """
-    if not 1 <= j <= len(children):
-        raise ValueError(f"non-prefix child index {j} out of range")
-    tables = [np.asarray(tb, dtype=np.float64) for tb, _, _ in children]
-    sizes = [s for _, s, _ in children]
-    counts = [c for _, _, c in children]
-    pent = lambda x: _term(x, total_weight)
-    seed = float(sum(forced_weights)) + float(sizes[j - 1])
-    G, _, _ = _sweep_tables(tables, sizes, counts, pent, K, seed, True, 1, j, False)
-    return G
-
-
 class _Engine:
     """Bottom-up DP over a canonical tree; shared by exact, greedy, and reduced runs."""
 
@@ -240,7 +173,7 @@ class _Engine:
         self.mode = mode
         self.chains = chains or {}
         self.chain_skip = chain_skip or frozenset()
-        self.cost = CostCounter()
+        self.pair_cost = 0
         W = tree.W
         log2 = math.log2
 
@@ -259,6 +192,9 @@ class _Engine:
         self.caps = caps
         self.offs = offs
         self.F = np.empty(int(caps.sum()), dtype=np.float64)
+        # Candidate class that attains each F entry: 0 for the prefix
+        # class, j for the near-prefix class whose group holds child j.
+        self.win = np.zeros(self.F.shape[0], dtype=np.int32)
         self.pw = np.zeros(n + 1)
         self.ps = np.zeros(n + 1)
         self.pw[1:] = _terms(tree.weight[1:], W)
@@ -315,39 +251,59 @@ class _Engine:
             return range(0)
         return range(max(3, d - self.K + 3), d + 1)
 
-    def _fill_node(self, v: int) -> None:
+    def _classes(self, v: int, only: Optional[int] = None):
+        """Sweep the candidate classes at internal node v, prefix class first.
+
+        Yields (j, G, steps, base_pos) per class, with j = 0 for the prefix
+        class and j > 0 for the near-prefix class whose group holds child
+        j; G, steps and base_pos are as returned by ``_sweep_tables``.
+        Without ``only``, sweeps every class in fill mode and charges the
+        prefix sweep's pair cost; with it, sweeps just class ``only`` in
+        record mode.
+        """
         t = self.t
-        off_v = self.offs[v]
-        cap_v = int(self.caps[v])
-        self.F[off_v] = self.ps[v]
-        if cap_v == 1:
-            return
         d = int(t.degree[v])
         fc = int(t.first_child[v])
         sizes = t.size[fc : fc + d]
         counts = t.count[fc : fc + d]
         a = self._sweep_start(d)
-        self.cost.pair_cost += _prefix_charge(counts, a, self.K)
         tables = self._child_views(fc, d)
         seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
-        best, _, _ = _sweep_tables(
-            tables, sizes, counts, self._pent, self.K, seed, a > 1, a, 0, False
-        )
-        for j in self._near_prefix_js(d):
-            Gj, _, _ = _sweep_tables(
+        record = only is not None
+        if record:
+            js = (only,)
+        else:
+            self.pair_cost += _prefix_charge(counts, a, self.K)
+            js = (0, *self._near_prefix_js(d))
+        for j in js:
+            G, steps, base_pos = _sweep_tables(
                 tables,
                 sizes,
                 counts,
                 self._pent,
                 self.K,
-                seed + float(sizes[j - 1]),
-                True,
+                seed + float(sizes[j - 1]) if j else seed,
+                a > 1 or j > 0,
                 a,
                 j,
-                False,
+                record,
             )
-            m = min(Gj.shape[0], best.shape[0])
-            np.maximum(best[:m], Gj[:m], out=best[:m])
+            yield j, G, steps, base_pos
+
+    def _fill_node(self, v: int) -> None:
+        off_v = self.offs[v]
+        cap_v = int(self.caps[v])
+        self.F[off_v] = self.ps[v]
+        if cap_v == 1:
+            return
+        classes = self._classes(v)
+        _, best, _, _ = next(classes)
+        for j, G, _, _ in classes:
+            m = min(G.shape[0], best.shape[0])
+            gt = G[:m] > best[:m]
+            if np.count_nonzero(gt):  # rare: near-prefix classes seldom win
+                np.copyto(best[:m], G[:m], where=gt)
+                self.win[off_v + 1 : off_v + 1 + m][gt] = j
         self.F[off_v + 1 : off_v + cap_v] = self.pw[v] + best[: cap_v - 1]
 
     # -- reconstruction --------------------------------------------------- #
@@ -412,52 +368,16 @@ class _Engine:
         t = self.t
         d = int(t.degree[v])
         fc = int(t.first_child[v])
-        sizes = t.size[fc : fc + d]
-        counts = t.count[fc : fc + d]
-        a = self._sweep_start(d)
-        tables = self._child_views(fc, d)
-        seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
         kf = kk - 1
-
-        candidates = []
-        G, steps, base_pos = _sweep_tables(
-            tables, sizes, counts, self._pent, self.K, seed, a > 1, a, 0, True
-        )
-        candidates.append((G, steps, base_pos, 0))
-        for j in self._near_prefix_js(d):
-            Gj, stepsj, basej = _sweep_tables(
-                tables,
-                sizes,
-                counts,
-                self._pent,
-                self.K,
-                seed + float(sizes[j - 1]),
-                True,
-                a,
-                j,
-                True,
-            )
-            candidates.append((Gj, stepsj, basej, j))
-
-        best = None
-        best_val = NEG_INF
-        for cand in candidates:
-            Gc = cand[0]
-            val = Gc[kf - 1] if kf <= Gc.shape[0] else NEG_INF
-            if val > best_val:
-                best_val = val
-                best = cand
-        got = self.pw[v] + best_val
+        j = int(self.win[self.offs[v] + kf])
+        _, G, steps, base_pos = next(self._classes(v, only=j))
+        got = self.pw[v] + (G[kf - 1] if kf <= G.shape[0] else NEG_INF)
         want = self.value(v, kk)
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise InvariantError(
                 f"reconstruction value {got} disagrees with table {want} at node {v}, k={kk}"
             )
 
-        _, steps, base_pos, skip = best
-        seed_positions = list(range(1, a))
-        if skip:
-            seed_positions.append(skip)
         tpos = kf
         splits_pos: list[tuple[int, int]] = []
         i = len(steps) - 1
@@ -471,14 +391,12 @@ class _Engine:
             if not base_pos:
                 raise InvariantError("sweep backtrack escaped the seed")
             splits_pos.append((base_pos, tpos))
-            other_pos: list[int] = []
-        else:
-            other_pos = list(seed_positions) + [steps[jj][0] for jj in range(i + 1)]
-            if base_pos:
-                other_pos.append(base_pos)
-            if len(other_pos) == 1:
-                splits_pos.append((other_pos[0], 1))
-                other_pos = []
+        # Every child not split off is absorbed into the group.
+        split = {p for p, _ in splits_pos}
+        other_pos = [p for p in range(1, d + 1) if p not in split]
+        if len(other_pos) == 1:
+            splits_pos.append((other_pos[0], 1))
+            other_pos = []
         other = [fc + p - 1 for p in other_pos]
         splits = [(fc + p - 1, kc) for p, kc in splits_pos]
         return other, splits
@@ -528,12 +446,11 @@ class DPTables:
         return int(self._engine.caps[1])
 
     @property
-    def cost(self) -> CostCounter:
-        return self._engine.cost
-
-    @property
     def pair_cost(self) -> int:
-        return self._engine.cost.pair_cost
+        """Sum of min(prefix, K) * min(child, K) over prefix-class combining
+        steps, where prefix is the descendant count already covered; at
+        most 2*K*n after a full solve."""
+        return self._engine.pair_cost
 
     def value(self, v: int, k: int) -> float:
         """F(v, k): best pseudo-entropy of a k-node summary tree of subtree v."""
@@ -573,8 +490,3 @@ def solve_exact(t: CanonicalTree, K: int) -> DPTables:
     tables cover 1 <= k <= min(K, n) and support reconstruction.
     """
     return DPTables(_Engine(t, K, mode="exact"))
-
-
-def reconstruct(tables: DPTables, k: int) -> SummaryTree:
-    """Materialize the optimal k-node summary tree recorded in ``tables``."""
-    return tables.reconstruct(k)

@@ -48,7 +48,7 @@ class InputTree:
 
     ``parent_idx[i]`` is the index of node i's parent, or -1 for the root.
     Invariants (enforced by :func:`build_tree`): unique ids, exactly one
-    root, acyclic parent links, nonnegative weights, positive total.
+    root, acyclic parent links, nonnegative weights, positive finite total.
     """
 
     ids: tuple[str, ...]
@@ -72,7 +72,8 @@ def build_tree(records: Iterable[Record]) -> InputTree:
 
     Raises:
         TreeError: duplicate id, unknown parent, zero or multiple roots,
-            cycle, negative weight, or zero total weight.
+            cycle, negative weight, or a total weight that is zero or
+            overflows.
     """
     recs = list(records)
     if not recs:
@@ -113,7 +114,11 @@ def build_tree(records: Iterable[Record]) -> InputTree:
         bad = recs[int(np.flatnonzero(~seen)[0])][0]
         raise TreeError(f"cycle detected involving id {bad!r}")
 
-    if float(weights.sum()) <= 0.0:
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not np.isfinite(total):
+        raise TreeError("total weight overflows a float64")
+    if total <= 0.0:
         raise TreeError("total weight is zero; entropy is undefined")
     return InputTree(tuple(r[0] for r in recs), parent_idx, weights, root)
 

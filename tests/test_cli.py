@@ -136,6 +136,16 @@ class TestErrors:
         assert run(["--input", str(p), "-K", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: input:")
 
+    def test_overflowing_total_weight_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("id,parent,weight\nr,,1e308\na,r,1e308\nb,r,1e308\n", encoding="utf-8")
+        assert run(["--input", str(p), "-K", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: input:")
+
+    def test_seed_is_not_a_solve_flag(self, csv_tree, capsys):
+        assert run(["--input", str(csv_tree), "-K", "2", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: usage:")
+
     def test_invariant_violation_exits_2(self, csv_tree, capsys, monkeypatch):
         import summarytree.cli as cli
 

@@ -9,14 +9,10 @@ from summarytree import (
     canonicalize,
     node_pseudo_entropy,
     random_tree,
-    reconstruct,
     solve_exact,
-    sweep_near_prefix_class,
-    sweep_prefix_class,
     validate_summary_tree,
 )
-from summarytree.entropy_core import _term
-from tests.conftest import make_tree, path_tree, tree_records
+from tests.conftest import make_tree, path_tree, star_tree, tree_records
 
 H_1_3 = 0.8112781244591328
 
@@ -54,37 +50,55 @@ class TestSmallInstances:
             tb.entropy_bits(5)
 
 
+def _h(x: float, W: float) -> float:
+    """Pseudo-entropy term -(x/W) lg(x/W) of one summary node of weight x."""
+    return -(x / W) * math.log2(x / W) if x > 0 else 0.0
+
+
 class TestSweeps:
     def test_max_plus_on_singleton_tables(self):
-        W = 4.0
-        children = [([0.3], 1.0, 1), ([0.4], 1.0, 1)]
-        G = sweep_prefix_class(children, W, 8)
-        assert G[0] == pytest.approx(_term(2.0, W), abs=1e-15)  # group of both
-        assert G[1] == pytest.approx(0.7, abs=1e-15)
+        t = star_tree(5, [1, 2])
+        tb = solve_exact(t, 8)
+        assert tb.value(1, 2) == pytest.approx(_h(5, 8) + _h(3, 8), abs=1e-15)  # group of both
+        assert tb.value(1, 3) == pytest.approx(_h(5, 8) + _h(1, 8) + _h(2, 8), abs=1e-15)
 
     def test_max_plus_two_by_two(self):
-        children = [([0.2, 0.5], 1.0, 2), ([0.3, 0.4], 1.0, 2)]
-        G = sweep_prefix_class(children, 4.0, 8)
-        assert G[2] == pytest.approx(0.8, abs=1e-15)  # max(0.2+0.4, 0.5+0.3)
+        # Children a (1, leaf 1) and b (1, leaf 2) under a zero-weight root:
+        # a 3-node forest splits one child and keeps the other whole.
+        t = make_tree(
+            [("r", None, 0), ("a", "r", 1), ("a1", "a", 1), ("b", "r", 1), ("b1", "b", 2)]
+        )
+        W = 5.0
+        a1, a2 = _h(2, W), _h(1, W) + _h(1, W)
+        b1, b2 = _h(3, W), _h(1, W) + _h(2, W)
+        tb = solve_exact(t, 8)
+        assert tb.value(1, 4) == pytest.approx(max(a1 + b2, a2 + b1), abs=1e-15)
+        assert tb.value(1, 4) == pytest.approx(brute_force_opt(t, 4).best, abs=1e-12)
 
     def test_forced_seed_contributes_weight(self):
-        W = 8.0
-        children = [([0.1], 2.0, 1)]
-        G = sweep_prefix_class(children, W, 8, forced_weights=[1.0, 1.0])
-        assert G[0] == pytest.approx(_term(4.0, W), abs=1e-15)
-        assert G[1] == pytest.approx(_term(2.0, W) + 0.1, abs=1e-15)
+        # d = 4 > K - 1 = 2: the two smallest leaves go into the group unswept.
+        t = star_tree(8, [1, 1, 2, 4])
+        tb = solve_exact(t, 3)
+        assert tb.value(1, 2) == pytest.approx(_h(8, 16) + _h(8, 16), abs=1e-15)
+        assert tb.value(1, 3) == pytest.approx(_h(8, 16) + _h(4, 16) + _h(4, 16), abs=1e-15)
+        assert tb.value(1, 3) == pytest.approx(brute_force_opt(t, 3).best, abs=1e-12)
 
-    def test_near_prefix_seeds_child_j(self):
-        W = 8.0
-        children = [([0.1], 1.0, 1), ([0.2], 1.0, 1), ([0.3], 2.0, 1)]
-        G = sweep_near_prefix_class(children, W, 8, j=3)
-        # seed {child 3}; sweeping children 1 and 2
-        assert G[0] == pytest.approx(_term(4.0, W), abs=1e-15)  # all absorbed
-        assert G[2] == pytest.approx(_term(2.0, W) + 0.1 + 0.2, abs=1e-15)
+    def test_near_prefix_seeds_child_j(self, gap7):
+        # The 4-node optimum groups v1 with child 3 (the v3 subtree), skips
+        # child 2 and splits the v2 subtree into v2 and v4.
+        W = gap7.W
+        tb = solve_exact(gap7, 4)
+        assert tb.value(1, 4) == pytest.approx(
+            _h(0 + 4.0625, W) + _h(2, W) + _h(2, W), abs=1e-15
+        )
+        assert tb.value(1, 4) == pytest.approx(brute_force_opt(gap7, 4).best, abs=1e-12)
 
-    def test_near_prefix_j_out_of_range(self):
-        with pytest.raises(ValueError):
-            sweep_near_prefix_class([([0.1], 1.0, 1)], 4.0, 8, j=2)
+    def test_prefix_class_wins_ties(self):
+        # Grouping any two of three equal leaves gives the same entropy; the
+        # prefix class (first two children) is taken before near-prefix j=3.
+        t = star_tree(1, [1, 1, 1])
+        s = solve_exact(t, 3).reconstruct(3)
+        assert s.root_group_roots() == (2, 3)
 
     def test_p4_prefix_sweep_matches_oracle(self):
         # On paths the prefix class alone is exact for every k.
@@ -156,18 +170,25 @@ class TestReconstruct:
 
     def test_entropy_matches_table_and_validates(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            n = int(rng.integers(2, 40))
-            t = canonicalize(random_tree(n, weights="uniform", seed=rng))
+        trees = [
+            canonicalize(random_tree(int(rng.integers(2, 40)), weights="uniform", seed=rng))
+            for _ in range(25)
+        ]
+        # Integer weights with degree > K make class ties common.
+        trees += [
+            canonicalize(
+                random_tree(
+                    n, shape="fixed-degree", degree=12, weights="integer", max_weight=2, seed=s
+                )
+            )
+            for n, s in ((13, 1), (40, 2), (80, 3))
+        ]
+        for t in trees:
             tb = solve_exact(t, 8)
             for k in range(1, tb.max_k + 1):
                 s = tb.reconstruct(k)
                 assert s.entropy_bits == pytest.approx(tb.entropy_bits(k), abs=1e-9)
                 validate_summary_tree(s, t, strict_classes=True)
-
-    def test_module_level_reconstruct(self, p4):
-        tb = solve_exact(p4, 3)
-        assert reconstruct(tb, 3).k == 3
 
     def test_k_out_of_range(self, p4):
         tb = solve_exact(p4, 2)

@@ -18,6 +18,10 @@ class TestBuildTree:
         with pytest.raises(TreeError, match="total weight"):
             build_tree([("r", None, 0)])
 
+    def test_overflowing_total_weight_rejected(self):
+        with pytest.raises(TreeError, match="total weight"):
+            build_tree([("r", None, 1e308), ("a", "r", 1e308), ("b", "r", 1e308)])
+
     def test_cycle_rejected(self):
         with pytest.raises(TreeError, match="cycle|root"):
             build_tree([("a", "b", 1), ("b", "a", 1)])
