@@ -25,7 +25,7 @@ import numpy as np
 from .entropy_core import _terms
 from .exact_solver import DPTables, _Chain, _Engine, _RawNode
 from .summary import InvariantError, SummaryNode, SummaryTree, attach_members
-from .tree_model import CanonicalTree
+from .tree_model import CanonicalTree, _canonical
 
 __all__ = [
     "compute_W0",
@@ -135,7 +135,6 @@ class ReducedTree:
     base: CanonicalTree
     rounded: RoundedTree
     orig_label: np.ndarray
-    tprime_label: np.ndarray
     placeholder_roots: dict[int, np.ndarray]
     chains: dict[int, _Chain]
     chain_skip: frozenset[int]
@@ -162,133 +161,49 @@ class ReducedTree:
         return [(c.top, c.bottom, c.l, c.lprime) for c in self.chains.values()]
 
 
-def _counting_argsort(keys: np.ndarray, kmax: int) -> np.ndarray:
-    """Stable counting sort permutation for small nonnegative integer keys."""
-    cnt = np.bincount(keys, minlength=kmax + 1)
-    off = np.cumsum(cnt) - cnt
-    out = np.empty(keys.shape[0], dtype=np.int64)
-    for i, key in enumerate(keys):
-        out[off[key]] = i
-        off[key] += 1
-    return out
-
-
 def reduce_tree(rt: RoundedTree) -> ReducedTree:
     """Collapse zero-rounded-size structure and record zero-weight chains.
 
     For every positively sized node, its zero-sized children (and all
     their descendants) are replaced by one zero-weight placeholder child.
-    Children are re-sorted by rounded size with a two-pass counting sort
-    on (size, parent) and relabeled breadth-first.
+    The reduced tree is labelled by the builder :func:`canonicalize`
+    uses, with children ordered by rounded size and ties by input label.
     """
     base = rt.base
     s = rt.s_rounded
-    w = rt.w_rounded
     if s[1] <= 0:
         raise ValueError("all rounded weights are zero")
 
     kept = np.flatnonzero(s[1:] > 0) + 1
     n_kept = kept.shape[0]
+    # Reduced-node index of every kept input label.
     tmp_of_orig = np.zeros(base.n + 1, dtype=np.int64)
     tmp_of_orig[kept] = np.arange(n_kept)
+    # Zero-sized children of kept nodes; in label order, so grouped by parent.
+    zero = np.flatnonzero(s[2:] == 0) + 2
+    zero = zero[s[base.parent[zero]] > 0]
+    ph_parent, ph_start = np.unique(base.parent[zero], return_index=True)
+    n_ph = ph_parent.shape[0]
 
-    ph_roots: list[np.ndarray] = []
-    ch_par: list[int] = []
-    ch_size: list[int] = []
-    ch_node: list[int] = []
-    for i in range(n_kept):
-        v = int(kept[i])
-        d = int(base.degree[v])
-        if d == 0:
-            continue
-        fc = int(base.first_child[v])
-        kids = np.arange(fc, fc + d)
-        ks = s[kids]
-        for c in kids[ks > 0]:
-            ch_par.append(i)
-            ch_size.append(int(s[c]))
-            ch_node.append(int(tmp_of_orig[c]))
-        zeros = kids[ks == 0]
-        if zeros.shape[0]:
-            ch_par.append(i)
-            ch_size.append(0)
-            ch_node.append(n_kept + len(ph_roots))
-            ph_roots.append(zeros.astype(np.int64))
+    # Reduced nodes: the kept nodes, root first, then one placeholder per
+    # parent in ph_parent.  Placeholders are the only zero-sized children,
+    # so their tie key (0) never decides an order.
+    parent = np.concatenate((tmp_of_orig[base.parent[kept]], tmp_of_orig[ph_parent]))
+    parent[0] = -1
+    orig = np.concatenate((kept, np.zeros(n_ph, dtype=np.int64)))
+    weight = np.concatenate((rt.w_rounded[kept], np.zeros(n_ph, dtype=np.int64)))
+    ids = list(map(base.ext_of_label.__getitem__, kept.tolist())) + [None] * n_ph
+    tree, label = _canonical(parent, 0, weight, orig, ids)
 
-    n_prime = n_kept + len(ph_roots)
-    par_arr = np.array(ch_par, dtype=np.int64)
-    size_arr = np.array(ch_size, dtype=np.int64)
-    node_arr = np.array(ch_node, dtype=np.int64)
-    if par_arr.shape[0]:
-        o1 = _counting_argsort(size_arr, rt.W0)
-        par_arr, size_arr, node_arr = par_arr[o1], size_arr[o1], node_arr[o1]
-        o2 = _counting_argsort(par_arr, n_kept)
-        par_arr, size_arr, node_arr = par_arr[o2], size_arr[o2], node_arr[o2]
-
-    counts = np.bincount(par_arr, minlength=n_kept) if par_arr.shape[0] else np.zeros(n_kept, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    # Breadth-first relabeling over the sorted child groups.
-    bfs = np.empty(n_prime, dtype=np.int64)
-    bfs[0] = 0  # tmp index of the original root
-    filled = 1
-    i = 0
-    while i < filled:
-        v = int(bfs[i])
-        if v < n_kept and counts[v]:
-            grp = node_arr[offsets[v] : offsets[v] + counts[v]]
-            bfs[filled : filled + grp.shape[0]] = grp
-            filled += grp.shape[0]
-        i += 1
-
-    label_of_tmp = np.empty(n_prime, dtype=np.int64)
-    label_of_tmp[bfs] = np.arange(1, n_prime + 1)
-
-    weight_p = np.zeros(n_prime + 1)
-    size_p = np.zeros(n_prime + 1)
-    degree_p = np.zeros(n_prime + 1, dtype=np.int64)
-    parent_p = np.zeros(n_prime + 1, dtype=np.int64)
-    orig_label = np.zeros(n_prime + 1, dtype=np.int64)
-    ext: list = [None] * (n_prime + 1)
-    for lab in range(1, n_prime + 1):
-        tmp = int(bfs[lab - 1])
-        if tmp < n_kept:
-            ov = int(kept[tmp])
-            orig_label[lab] = ov
-            weight_p[lab] = float(w[ov])
-            size_p[lab] = float(s[ov])
-            degree_p[lab] = counts[tmp]
-            ext[lab] = base.ext(ov)
-        else:
-            ext[lab] = f"~other~{lab}"
-    for idx in range(par_arr.shape[0]):
-        parent_p[label_of_tmp[node_arr[idx]]] = label_of_tmp[par_arr[idx]]
-
-    first_child = np.zeros(n_prime + 1, dtype=np.int64)
-    starts = 2 + np.concatenate(([0], np.cumsum(degree_p[1:-1])))
-    first_child[1:] = np.where(degree_p[1:] > 0, starts, 0)
-
-    count_p = np.ones(n_prime + 1, dtype=np.int64)
-    count_p[0] = 0
-    for lab in range(n_prime, 1, -1):
-        count_p[parent_p[lab]] += count_p[lab]
-
-    depth_p = np.zeros(n_prime + 1, dtype=np.int64)
-    for lab in range(2, n_prime + 1):
-        depth_p[lab] = depth_p[parent_p[lab]] + 1
-
-    tree = CanonicalTree(weight_p, size_p, count_p, degree_p, parent_p, first_child, depth_p, ext)
-
-    tprime_label = np.zeros(base.n + 1, dtype=np.int64)
-    tprime_label[kept] = label_of_tmp[np.arange(n_kept)]
-    placeholder_roots = {
-        int(label_of_tmp[n_kept + j]): ph_roots[j] for j in range(len(ph_roots))
-    }
+    orig_label = np.zeros(tree.n + 1, dtype=np.int64)
+    orig_label[label] = orig
+    ph_label = label[n_kept:].tolist()
+    for lab in ph_label:
+        tree.ext_of_label[lab] = f"~other~{lab}"
+    placeholder_roots = dict(zip(ph_label, np.split(zero, ph_start[1:])))
 
     chains, chain_skip = _find_chains(tree)
-    return ReducedTree(
-        tree, base, rt, orig_label, tprime_label, placeholder_roots, chains, chain_skip
-    )
+    return ReducedTree(tree, base, rt, orig_label, placeholder_roots, chains, chain_skip)
 
 
 def _find_chains(t: CanonicalTree) -> tuple[dict[int, _Chain], frozenset]:

@@ -11,15 +11,26 @@ representation in which
 * per-node subtree sizes, descendant counts, and degrees are
   precomputed.
 
+Every canonical tree comes from one builder, :func:`_canonical`:
+:func:`canonicalize` calls it with the rank of the external ids as the
+tie key, and the approximation solver's ``reduce_tree`` calls it on the
+reduced tree with the input label as the tie key.  Subtree sizes are
+summed in one fixed float64 order, on which byte-identical results
+depend: ``size[p] = w[p] + size[c_last] + ... + size[c_first]``, added
+left to right, where ``c_first .. c_last`` are p's children in
+increasing input index.
+
 External string ids survive in a label <-> id mapping that is emitted
 alongside all results.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -47,8 +58,9 @@ class InputTree:
     """A validated rooted tree over external ids, prior to canonicalization.
 
     ``parent_idx[i]`` is the index of node i's parent, or -1 for the root.
-    Invariants (enforced by :func:`build_tree`): unique ids, exactly one
-    root, acyclic parent links, nonnegative weights, positive finite total.
+    Invariants (enforced by :func:`build_tree` and :func:`from_arrays`):
+    unique ids, exactly one root, acyclic parent links, nonnegative
+    weights, positive finite total.
     """
 
     ids: tuple[str, ...]
@@ -78,49 +90,13 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     recs = list(records)
     if not recs:
         raise TreeError("no records")
-    index: dict[str, int] = {}
-    for node_id, _, _ in recs:
-        if node_id in index:
-            raise TreeError(f"duplicate id {node_id!r}")
-        index[node_id] = len(index)
-    n = len(recs)
-    parent_idx = np.full(n, -1, dtype=np.int64)
-    weights = np.empty(n, dtype=np.float64)
-    root = -1
-    for i, (node_id, parent_id, weight) in enumerate(recs):
-        w = float(weight)
-        if w < 0.0 or not np.isfinite(w):
-            raise TreeError(f"negative or non-finite weight for id {node_id!r}")
-        weights[i] = w
-        if parent_id is None or parent_id == "":
-            if root >= 0:
-                raise TreeError(
-                    f"multiple roots: {recs[root][0]!r} and {node_id!r}"
-                )
-            root = i
-        else:
-            if parent_id not in index:
-                raise TreeError(f"unknown parent {parent_id!r} for id {node_id!r}")
-            parent_idx[i] = index[parent_id]
-    if root < 0:
-        raise TreeError("no root (every node has a parent)")
-
-    # Reachability from the root doubles as cycle detection: with unique
-    # parents and one root, any unreachable node sits on a cycle.
-    reached = _bfs_order(parent_idx, root)
-    if reached.shape[0] < n:
-        seen = np.zeros(n, dtype=bool)
-        seen[reached] = True
-        bad = recs[int(np.flatnonzero(~seen)[0])][0]
-        raise TreeError(f"cycle detected involving id {bad!r}")
-
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
-    if not np.isfinite(total):
-        raise TreeError("total weight overflows a float64")
-    if total <= 0.0:
-        raise TreeError("total weight is zero; entropy is undefined")
-    return InputTree(tuple(r[0] for r in recs), parent_idx, weights, root)
+    ids, parent_ids, weights = zip(*recs)
+    n = len(ids)
+    index = _index(ids)
+    index[None] = index[""] = -1
+    # An unknown parent maps to n, which _checked reports.
+    parent_idx = np.fromiter(map(index.get, parent_ids, repeat(n)), np.int64, n)
+    return _checked(ids, parent_idx, np.fromiter(map(float, weights), np.float64, n), parent_ids)
 
 
 def from_arrays(
@@ -133,44 +109,175 @@ def from_arrays(
     ``parents[i]`` is the index of node i's parent, with -1 marking the
     root.  When ``ids`` is omitted, zero-padded decimal ids are generated
     so that lexicographic and numeric order coincide.  Runs the same
-    validation as :func:`build_tree`.
+    validation as :func:`build_tree`, and also rejects arrays of
+    different lengths.
     """
-    parents = np.asarray(parents, dtype=np.int64)
-    n = parents.shape[0]
-    if ids is None:
-        width = len(str(max(n - 1, 0)))
-        ids = [f"n{i:0{width}d}" for i in range(n)]
-    id_list = list(ids)
-    return build_tree(
-        (
-            id_list[i],
-            None if parents[i] < 0 else id_list[int(parents[i])],
-            float(weights[i]),
-        )
-        for i in range(n)
+    parent_idx = np.array(parents, dtype=np.int64)
+    weights = np.array(weights, dtype=np.float64)
+    n = parent_idx.size
+    given = ids is not None
+    ids = tuple(ids) if given else tuple(map(f"n{{:0{len(str(max(n - 1, 0)))}d}}".format, range(n)))
+    if parent_idx.ndim != 1 or weights.shape != (n,) or len(ids) != n:
+        raise TreeError("parents, weights and ids must be flat and of one length")
+    if given:
+        _index(ids)
+    return _checked(ids, parent_idx, weights)
+
+
+def _index(ids: tuple) -> dict:
+    """Map each id to its position; raises on the first repeated id."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids):
+        seen: set = set()
+        for node_id in ids:
+            if node_id in seen:
+                raise TreeError(f"duplicate id {node_id!r}")
+            seen.add(node_id)
+    return index
+
+
+def _checked(
+    ids: tuple,
+    parent_idx: np.ndarray,
+    weights: np.ndarray,
+    parent_ids: Optional[Sequence] = None,
+) -> InputTree:
+    """Validate a tree with unique ids, given as arrays.
+
+    ``parent_idx`` is -1 at a root; any other value outside ``0..n-1`` is
+    an unknown parent, reported through ``parent_ids`` when given.  Of the
+    per-node faults, the one at the smallest index is reported.
+    """
+    n = len(ids)
+    if n == 0:
+        raise TreeError("no records")
+    bad_weight = ~np.isfinite(weights) | (weights < 0.0)
+    roots = np.flatnonzero(parent_idx == -1)
+    faults = bad_weight | (parent_idx < -1) | (parent_idx >= n)
+    if roots.shape[0] > 1:
+        faults[roots[1]] = True
+    if faults.any():
+        i = int(np.argmax(faults))
+        if bad_weight[i]:
+            raise TreeError(f"negative or non-finite weight for id {ids[i]!r}")
+        if parent_idx[i] == -1:
+            raise TreeError(f"multiple roots: {ids[roots[0]]!r} and {ids[i]!r}")
+        ref = int(parent_idx[i]) if parent_ids is None else parent_ids[i]
+        raise TreeError(f"unknown parent {ref!r} for id {ids[i]!r}")
+    if roots.shape[0] == 0:
+        raise TreeError("no root (every node has a parent)")
+    root = int(roots[0])
+
+    # Reachability from the root doubles as cycle detection: with unique
+    # parents and one root, any unreachable node sits on a cycle.
+    _, reached = _path_sums(parent_idx, root, np.ones(n, dtype=np.int64))
+    if not reached.all():
+        raise TreeError(f"cycle detected involving id {ids[int(np.argmin(reached))]!r}")
+
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not np.isfinite(total):
+        raise TreeError("total weight overflows a float64")
+    if total <= 0.0:
+        raise TreeError("total weight is zero; entropy is undefined")
+    return InputTree(ids, parent_idx, weights, root)
+
+
+def _path_sums(
+    parent: np.ndarray, root: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``x`` over each node and its ancestors below the root.
+
+    Pointer jumping: after r rounds every node has summed its 2**r
+    nearest path nodes, so O(log depth) array passes suffice.  Returns
+    the sums and a mask of the nodes that reach the root; the round cap
+    exceeds any tree depth, so nodes on a cycle come back unreached.
+    """
+    n = parent.shape[0]
+    anc = parent.copy()
+    anc[root] = root
+    acc = x.copy()
+    acc[root] = 0
+    for _ in range(n.bit_length()):
+        if (anc == root).all():
+            break
+        acc += acc[anc]
+        anc = anc[anc]
+    return acc, anc == root
+
+
+def _by_label(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Reindex a per-node array by label, leaving index 0 zero."""
+    out = np.zeros(order.shape[0] + 1, dtype=a.dtype)
+    out[1:] = a[order]
+    return out
+
+
+def _canonical(
+    parent: np.ndarray, root: int, weight: np.ndarray, tie: np.ndarray, ids: Sequence
+) -> tuple["CanonicalTree", np.ndarray]:
+    """Label a validated tree: children by (size, tie), labels breadth-first.
+
+    ``parent[i]`` is node i's parent index, -1 at ``root``; ``tie`` must
+    differ between siblings of equal size; ``ids[i]`` is node i's
+    external id.  Returns the tree and the label of every node index.
+    """
+    n = parent.shape[0]
+    weight = np.asarray(weight, dtype=np.float64)
+    depth, _ = _path_sums(parent, root, np.ones(n, dtype=np.int64))
+
+    # Sizes and counts, deepest first and within a depth by decreasing
+    # index: the summation order of the module docstring.
+    size = weight.tolist()
+    count = [1] * n
+    par = parent.tolist()
+    for v in np.argsort(depth, kind="stable")[:0:-1].tolist():
+        p = par[v]
+        size[p] += size[v]
+        count[p] += count[v]
+    size = np.array(size, dtype=np.float64)
+    count = np.array(count, dtype=np.int64)
+
+    # Children grouped by parent in (size, tie) order; the root sorts first.
+    kids = np.lexsort((tie, size, parent))[1:]
+    kid_count = count[kids]
+    before = np.cumsum(kid_count) - kid_count
+    first = np.ones(n - 1, dtype=bool)
+    first[1:] = parent[kids[1:]] != parent[kids[:-1]]
+    # A child's preorder offset below its parent: 1 plus the counts of
+    # its earlier siblings.
+    offset = np.zeros(n, dtype=np.int64)
+    offset[kids] = before - np.maximum.accumulate(np.where(first, before, 0)) + 1
+    pre_pos, _ = _path_sums(parent, root, offset)
+
+    # Breadth-first labels: within one depth, BFS order is preorder.
+    order = np.lexsort((pre_pos, depth))
+    label = np.empty(n, dtype=np.int64)
+    label[order] = np.arange(1, n + 1)
+
+    degree = _by_label(np.bincount(parent + 1, minlength=n + 1)[1:], order)
+    parent_l = np.zeros(n + 1, dtype=np.int64)
+    parent_l[2:] = label[parent[order[1:]]]
+    first_child = np.zeros(n + 1, dtype=np.int64)
+    starts = 2 + np.concatenate(([0], np.cumsum(degree[1:-1])))
+    first_child[1:] = np.where(degree[1:] > 0, starts, 0)
+    pre_pos_l = _by_label(pre_pos, order)
+    preorder = np.empty(n, dtype=np.int64)
+    preorder[pre_pos_l[1:]] = np.arange(1, n + 1)
+
+    tree = CanonicalTree(
+        _by_label(weight, order),
+        _by_label(size, order),
+        _by_label(count, order),
+        degree,
+        parent_l,
+        first_child,
+        _by_label(depth, order),
+        preorder,
+        pre_pos_l,
+        [None, *map(ids.__getitem__, order.tolist())],
     )
-
-
-def _bfs_order(parent_idx: np.ndarray, root: int) -> np.ndarray:
-    """Breadth-first order of all nodes reachable from the root."""
-    n = parent_idx.shape[0]
-    order_by_parent = np.argsort(parent_idx, kind="stable")
-    counts = np.bincount(parent_idx + 1, minlength=n + 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.empty(n, dtype=np.int64)
-    out[0] = root
-    filled = 1
-    i = 0
-    while i < filled:
-        v = out[i]
-        b = v + 1
-        kids = order_by_parent[offsets[b] : offsets[b] + counts[b]]
-        m = kids.shape[0]
-        if m:
-            out[filled : filled + m] = kids
-            filled += m
-        i += 1
-    return out[:filled]
+    return tree, label
 
 
 class CanonicalTree:
@@ -193,6 +300,7 @@ class CanonicalTree:
         preorder / pre_pos: a depth-first order in which every subtree is
             a contiguous slice: subtree of v is
             ``preorder[pre_pos[v] : pre_pos[v] + count[v]]``.
+        ext_of_label: external id of each label (entry 0 is None).
     """
 
     def __init__(
@@ -204,6 +312,8 @@ class CanonicalTree:
         parent: np.ndarray,
         first_child: np.ndarray,
         depth: np.ndarray,
+        preorder: np.ndarray,
+        pre_pos: np.ndarray,
         ext_of_label: list,
     ):
         self.n = weight.shape[0] - 1
@@ -214,9 +324,9 @@ class CanonicalTree:
         self.parent = parent
         self.first_child = first_child
         self.depth = depth
+        self.preorder = preorder
+        self.pre_pos = pre_pos
         self.ext_of_label = ext_of_label
-        self.label_of_ext = {e: i for i, e in enumerate(ext_of_label) if e is not None}
-        self.preorder, self.pre_pos = self._compute_preorder()
 
     @property
     def W(self) -> float:
@@ -233,58 +343,15 @@ class CanonicalTree:
     def ext(self, v: int) -> str:
         return self.ext_of_label[v]
 
-    def _compute_preorder(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        pre = np.empty(n, dtype=np.int64)
-        pos = np.zeros(n + 1, dtype=np.int64)
-        stack = [1]
-        i = 0
-        fc = self.first_child
-        deg = self.degree
-        while stack:
-            v = stack.pop()
-            pre[i] = v
-            pos[v] = i
-            i += 1
-            d = int(deg[v])
-            if d:
-                f = int(fc[v])
-                stack.extend(range(f + d - 1, f - 1, -1))
-        return pre, pos
-
     def with_scaled_weights(self, factor: float) -> "CanonicalTree":
         """Copy with every weight multiplied by ``factor`` (> 0).
 
         Scaling preserves the child order and labeling, so the result is
         canonical without re-sorting.
         """
-        out = CanonicalTree.__new__(CanonicalTree)
-        out.n = self.n
+        out = copy.copy(self)
         out.weight = self.weight * factor
         out.size = self.size * factor
-        out.count = self.count
-        out.degree = self.degree
-        out.parent = self.parent
-        out.first_child = self.first_child
-        out.depth = self.depth
-        out.ext_of_label = self.ext_of_label
-        out.label_of_ext = self.label_of_ext
-        out.preorder = self.preorder
-        out.pre_pos = self.pre_pos
-        return out
-
-    def as_records(self) -> list[Record]:
-        """Round-trip back to ``(id, parent_id, weight)`` records in label order."""
-        out: list[Record] = []
-        for v in range(1, self.n + 1):
-            p = int(self.parent[v])
-            out.append(
-                (
-                    self.ext_of_label[v],
-                    self.ext_of_label[p] if p else None,
-                    float(self.weight[v]),
-                )
-            )
         return out
 
 
@@ -298,69 +365,11 @@ def canonicalize(t: Union[InputTree, CanonicalTree]) -> CanonicalTree:
     the same labeling.
     """
     if isinstance(t, CanonicalTree):
-        t = build_tree(t.as_records())
-    n = t.n
-    par = t.parent_idx
-    w = t.weights
-
-    topo = _bfs_order(par, t.root)
-    size = w.astype(np.float64).copy()
-    cnt = np.ones(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        v = int(topo[i])
-        p = int(par[v])
-        size[p] += size[v]
-        cnt[p] += cnt[v]
-
-    # Deterministic child order: by size, then external id.
-    rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=t.ids.__getitem__)] = np.arange(n)
-    ordkey = np.lexsort((rank, size, par))
-    counts = np.bincount(par + 1, minlength=n + 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    # Breadth-first labeling over the sorted child groups.
-    bfsq = np.empty(n, dtype=np.int64)
-    bfsq[0] = t.root
-    filled = 1
-    i = 0
-    while i < filled:
-        v = int(bfsq[i])
-        b = v + 1
-        kids = ordkey[offsets[b] : offsets[b] + counts[b]]
-        m = kids.shape[0]
-        if m:
-            bfsq[filled : filled + m] = kids
-            filled += m
-        i += 1
-
-    label = np.empty(n, dtype=np.int64)
-    label[bfsq] = np.arange(1, n + 1)
-
-    weight_l = np.zeros(n + 1, dtype=np.float64)
-    size_l = np.zeros(n + 1, dtype=np.float64)
-    count_l = np.zeros(n + 1, dtype=np.int64)
-    degree_l = np.zeros(n + 1, dtype=np.int64)
-    parent_l = np.zeros(n + 1, dtype=np.int64)
-    weight_l[1:] = w[bfsq]
-    size_l[1:] = size[bfsq]
-    count_l[1:] = cnt[bfsq]
-    degree_l[1:] = counts[bfsq + 1]
-    if n > 1:
-        parent_l[2:] = label[par[bfsq[1:]]]
-
-    first_child = np.zeros(n + 1, dtype=np.int64)
-    starts = 2 + np.concatenate(([0], np.cumsum(degree_l[1:-1])))
-    first_child[1:] = np.where(degree_l[1:] > 0, starts, 0)
-
-    depth_l = np.zeros(n + 1, dtype=np.int64)
-    for v in range(2, n + 1):
-        depth_l[v] = depth_l[parent_l[v]] + 1
-
-    ext_of_label = [None] + [t.ids[int(v)] for v in bfsq]
-    return CanonicalTree(
-        weight_l, size_l, count_l, degree_l, parent_l, first_child, depth_l, ext_of_label
-    )
+        # Node i of the rebuilt input is label i + 1; the root's parent 0 becomes -1.
+        t = InputTree(tuple(t.ext_of_label[1:]), t.parent[1:] - 1, t.weight[1:].copy(), 0)
+    rank = np.empty(t.n, dtype=np.int64)
+    rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
+    return _canonical(t.parent_idx, t.root, t.weights, rank, t.ids)[0]
 
 
 def read_csv(path) -> InputTree:

@@ -89,6 +89,40 @@ def tree_records(draw, max_n: int = 20, integer_weights: bool = False):
     return recs
 
 
+def assert_canonical(t: CanonicalTree) -> None:
+    """Check the labelling invariants every canonical tree promises."""
+    n = t.n
+    # ext_of_label is a bijection from labels 1..n onto n distinct ids
+    assert len(t.ext_of_label) == n + 1 and t.ext_of_label[0] is None
+    assert len(set(t.ext_of_label[1:])) == n
+    assert int(t.parent[1]) == 0 and int(t.depth[1]) == 0
+    for v in range(2, n + 1):
+        p = int(t.parent[v])
+        assert 1 <= p < v
+        assert int(t.depth[v]) == int(t.depth[p]) + 1
+    # children are consecutive labels, sorted by size
+    for v in range(1, n + 1):
+        kids = list(t.children(v))
+        assert all(int(t.parent[c]) == v for c in kids)
+        sizes = [float(t.size[c]) for c in kids]
+        assert sizes == sorted(sizes)
+    assert int(t.degree[1:].sum()) == n - 1
+    # labels within a depth level are consecutive (depth nondecreasing by label)
+    depths = [int(t.depth[v]) for v in range(1, n + 1)]
+    assert depths == sorted(depths)
+    # counts consistent
+    for v in range(1, n + 1):
+        assert int(t.count[v]) == 1 + sum(int(t.count[c]) for c in t.children(v))
+    # every subtree is the contiguous preorder slice at pre_pos
+    desc = [{v} for v in range(n + 1)]
+    for v in range(n, 1, -1):
+        desc[int(t.parent[v])] |= desc[v]
+    for v in range(1, n + 1):
+        assert int(t.preorder[t.pre_pos[v]]) == v
+        assert set(int(x) for x in t.subtree_labels(v)) == desc[v]
+    assert sorted(int(x) for x in t.preorder) == list(range(1, n + 1))
+
+
 def random_canonical(rng: np.random.Generator, n: int, weights: str = "uniform") -> CanonicalTree:
     from summarytree import random_tree
 

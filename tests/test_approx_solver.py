@@ -15,7 +15,7 @@ from summarytree import (
     validate_summary_tree,
 )
 from summarytree.tree_model import from_arrays
-from tests.conftest import make_tree, path_tree, star_tree, tree_records
+from tests.conftest import assert_canonical, make_tree, path_tree, star_tree, tree_records
 
 
 class TestComputeW0:
@@ -133,6 +133,15 @@ class TestReduceTree:
         assert len(red.path_records) == 1
         _, _, l, lprime = red.path_records[0]
         assert (l, lprime) == (2, 2)
+
+    @given(tree_records(max_n=40, integer_weights=True))
+    @settings(max_examples=30)
+    def test_reduced_tree_is_canonical(self, recs):
+        t = make_tree(recs)
+        for w0 in (1, 2, 7, 40):
+            rt = discrepancy_round(rescale(t, w0))
+            if rt.s_rounded[1] > 0:
+                assert_canonical(reduce_tree(rt).tree)
 
     def test_all_zero_rejected(self):
         t = make_tree([("r", None, 0.2), ("a", "r", 0.2)])

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from summarytree import canonicalize, read_csv, solve_exact
+from summarytree import canonicalize, read_csv, solve_exact, validate_summary_tree
 from summarytree.cli import emit_dot, run
-from summarytree.summary import InvariantError
+from summarytree.summary import InvariantError, SummaryNode, SummaryTree
 from tests.conftest import path_tree
 
 
@@ -155,6 +156,38 @@ class TestErrors:
         monkeypatch.setattr(cli, "solve_exact", broken)
         assert run(["--input", str(csv_tree), "-K", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: invariant:")
+
+
+def _summary_from_result(res: dict, doc: dict, ct) -> SummaryTree:
+    """Rebuild one emitted summary tree, deriving anchors from member ids."""
+    position = {nd["label"]: i for i, nd in enumerate(res["nodes"])}
+    nodes = []
+    for nd in res["nodes"]:
+        members = np.array([doc["input_id_map"][m] for m in nd["members"]], dtype=np.int64)
+        roots = members[~np.isin(ct.parent[members], members)]
+        parent = -1 if nd["parent"] is None else position[nd["parent"]]
+        if nd["kind"] == "group":
+            anchor, child_roots = int(ct.parent[roots[0]]), tuple(int(r) for r in roots)
+        else:
+            anchor, child_roots = int(roots[0]), ()
+        nodes.append(
+            SummaryNode(nd["kind"], anchor, parent, nd["weight"], tuple(nd["members"]), child_roots)
+        )
+    return SummaryTree(res["k"], res["entropy_bits"], doc["W"], nodes)
+
+
+def test_deep_path_exact(tmp_path):
+    n = 100_000
+    src = tmp_path / "path.csv"
+    rows = (f"p{i},{f'p{i - 1}' if i else ''},{1 + i % 7}\n" for i in range(n))
+    src.write_text("id,parent,weight\n" + "".join(rows), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert run(["--input", str(src), "--algorithm", "exact", "-K", "4", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [res["k"] for res in doc["results"]] == [1, 2, 3, 4]
+    ct = canonicalize(read_csv(src))
+    for res in doc["results"]:
+        validate_summary_tree(_summary_from_result(res, doc, ct), ct)
 
 
 class TestGenCommand:

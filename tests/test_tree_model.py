@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from summarytree import TreeError, build_tree, canonicalize, read_csv, read_json
-from tests.conftest import make_tree, tree_records
+from summarytree import TreeError, build_tree, canonicalize, from_arrays, read_csv, read_json
+from tests.conftest import assert_canonical, make_tree, tree_records
 
 
 class TestBuildTree:
@@ -30,6 +30,11 @@ class TestBuildTree:
         with pytest.raises(TreeError, match="cycle"):
             build_tree([("r", None, 1), ("a", "b", 1), ("b", "a", 1)])
 
+    def test_three_cycle_off_root_rejected(self):
+        # 3 is not a power of two, so pointer jumping never settles on it.
+        with pytest.raises(TreeError, match="cycle"):
+            build_tree([("r", None, 1), ("a", "c", 1), ("b", "a", 1), ("c", "b", 1)])
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(TreeError, match="duplicate"):
             build_tree([("r", None, 1), ("r", "r", 1)])
@@ -53,6 +58,40 @@ class TestBuildTree:
     def test_empty_rejected(self):
         with pytest.raises(TreeError):
             build_tree([])
+
+
+class TestFromArrays:
+    def test_matches_build_tree(self):
+        a = from_arrays([-1, 0, 0, 1], [1.0, 2.0, 0.0, 3.0], ["r", "a", "b", "c"])
+        b = build_tree([("r", None, 1), ("a", "r", 2), ("b", "r", 0), ("c", "a", 3)])
+        assert a.ids == b.ids and a.root == b.root
+        assert np.array_equal(a.parent_idx, b.parent_idx)
+        assert np.array_equal(a.weights, b.weights)
+
+    def test_parent_index_out_of_range_rejected(self):
+        for parents in ([-1, 5], [-1, 2], [-1, -2]):
+            with pytest.raises(TreeError, match="unknown parent"):
+                from_arrays(parents, [1.0, 1.0])
+
+    def test_lengths_must_agree(self):
+        for parents, weights, ids in (
+            ([-1, 0, 0], [1.0, 1.0], None),
+            ([-1, 0], [1.0, 1.0, 3.0], None),
+            ([-1, 0], [1.0, 1.0], ["r"]),
+        ):
+            with pytest.raises(TreeError, match="length"):
+                from_arrays(parents, weights, ids)
+
+    def test_duplicate_ids_rejected_like_build_tree(self):
+        with pytest.raises(TreeError) as from_records:
+            build_tree([("r", None, 1), ("a", "r", 1), ("r", "r", 1)])
+        with pytest.raises(TreeError, match="duplicate") as from_ids:
+            from_arrays([-1, 0, 0], [1.0, 1.0, 1.0], ["r", "a", "r"])
+        assert str(from_ids.value) == str(from_records.value)
+
+    def test_three_cycle_off_root_rejected(self):
+        with pytest.raises(TreeError, match="cycle"):
+            from_arrays([-1, 3, 1, 2], [1.0, 1.0, 1.0, 1.0])
 
 
 class TestCanonicalize:
@@ -109,39 +148,51 @@ def _independent_subtree_sums(records):
     return sums
 
 
+def _folded_subtree_sums(records):
+    """Subtree sums folded in the documented float64 order.
+
+    ``size[p] = w[p] + size[c_last] + ... + size[c_first]``, left to
+    right, over p's children in record order.
+    """
+    children = {node_id: [] for node_id, _, _ in records}
+    weights = {node_id: float(w) for node_id, _, w in records}
+    root = None
+    for node_id, parent, _ in records:
+        if parent is None:
+            root = node_id
+        else:
+            children[parent].append(node_id)
+    sums = {}
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            s = weights[node]
+            for c in reversed(children[node]):
+                s += sums[c]
+            sums[node] = s
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in children[node])
+    return sums
+
+
 @given(tree_records())
 def test_sizes_match_independent_traversal(recs):
     t = make_tree(recs)
     sums = _independent_subtree_sums(recs)
+    folded = _folded_subtree_sums(recs)
     for v in range(1, t.n + 1):
         assert float(t.size[v]) == pytest.approx(sums[t.ext(v)], rel=1e-9, abs=1e-9)
+        assert float(t.size[v]) == folded[t.ext(v)]
 
 
 @given(tree_records())
 def test_labeling_invariants(recs):
     t = make_tree(recs)
-    n = t.n
-    # bijection onto 1..n with the root at 1
-    assert sorted(t.label_of_ext.values()) == list(range(1, n + 1))
-    assert int(t.parent[1]) == 0
-    for v in range(2, n + 1):
-        assert 1 <= int(t.parent[v]) < v
-    # children consecutive and sorted by size
-    for v in range(1, n + 1):
-        kids = list(t.children(v))
-        if kids:
-            assert kids == list(range(kids[0], kids[0] + len(kids)))
-            sizes = [float(t.size[c]) for c in kids]
-            assert sizes == sorted(sizes)
-    # labels within a depth level are consecutive (depth nondecreasing by label)
-    depths = [int(t.depth[v]) for v in range(1, n + 1)]
-    assert depths == sorted(depths)
-    # counts consistent
-    for v in range(1, n + 1):
-        assert int(t.count[v]) == 1 + sum(int(t.count[c]) for c in t.children(v))
-    # preorder spans cover each subtree exactly
-    got = sorted(int(x) for x in t.subtree_labels(1))
-    assert got == list(range(1, n + 1))
+    # labels 1..n map one-to-one onto the input ids
+    assert sorted(t.ext_of_label[1:]) == sorted(node_id for node_id, _, _ in recs)
+    assert_canonical(t)
 
 
 @given(tree_records())
