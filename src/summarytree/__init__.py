@@ -21,7 +21,6 @@ from .approx_solver import (
     solve_approx,
 )
 from .entropy_core import (
-    EntropyBits,
     PseudoEntropy,
     entropy,
     node_pseudo_entropy,
@@ -50,7 +49,6 @@ __all__ = [
     "BruteForceResult",
     "CanonicalTree",
     "DPTables",
-    "EntropyBits",
     "InputTree",
     "InvariantError",
     "PseudoEntropy",

@@ -14,6 +14,13 @@ subtrees hanging off a positively-sized node are replaced by a single
 zero-weight placeholder child that remembers the removed ids, and long
 descending chains of zero-weight nodes are recorded so the solver can
 shift tables across them in O(K) instead of sweeping every chain node.
+
+The DP is the exact solver's :class:`DPTables`, built on the reduced
+tree with its chains.  Its rebuilt nodes are mapped back to the input
+tree in place and padded to k nodes; the rounded entropy scores those
+final nodes with :func:`summary.node_weight` over the rounded weights.
+An epsilon so small that W0 reaches 2**53, or that float64 rounding
+already breaks :meth:`RoundedTree.check`, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy_core import _terms
-from .exact_solver import DPTables, _Chain, _Engine, _RawNode
-from .summary import InvariantError, SummaryNode, SummaryTree, attach_members
+from .exact_solver import DPTables, _Chain
+from .summary import InvariantError, SummaryNode, SummaryTree, attach_members, node_weight
 from .tree_model import CanonicalTree, _canonical
 
 __all__ = [
@@ -45,16 +52,20 @@ def compute_W0(K: int, epsilon: float, c: float = 2.0) -> int:
     The lower clamp at 2K keeps the rounded tree from starving the DP of
     mass at tiny K.  ``c`` trades run time against approximation slack;
     the default is calibrated so the additive-epsilon guarantee holds in
-    the acceptance suite.
+    the acceptance suite.  W0 must stay below 2**53, where float64 stops
+    holding every integer and the rounding guarantees lapse.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not math.isfinite(epsilon) or epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not math.isfinite(c) or c <= 0.0:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     x = c * K / epsilon
-    return max(2 * K, math.ceil(x * math.log2(2.0 + x)))
+    w = x * math.log2(2.0 + x)
+    if not w < 2.0**53:  # also false for inf and nan
+        raise ValueError(f"epsilon={epsilon!r} is too small: W0 = {w:.3g} is not below 2**53")
+    return max(2 * K, math.ceil(w))
 
 
 def rescale(t: CanonicalTree, W0: int) -> CanonicalTree:
@@ -68,28 +79,27 @@ def rescale(t: CanonicalTree, W0: int) -> CanonicalTree:
 
 @dataclass
 class RoundedTree:
-    """Integer-rounded weights of a rescaled tree, plus both originals.
+    """Integer-rounded weights of the rescaled ``tree``.
 
     Guarantees (checked by :meth:`check`): every rounded weight is the
     floor or the ceiling of its rescaled value, every subtree total moves
     by at most 1, and the grand total is exactly W0.
     """
 
-    base: CanonicalTree
-    scaled: CanonicalTree
+    tree: CanonicalTree
     w_rounded: np.ndarray
     s_rounded: np.ndarray
     W0: int
 
     def check(self, tol: float = 1e-9) -> None:
-        w = self.scaled.weight[1:]
+        w = self.tree.weight[1:]
         wr = self.w_rounded[1:]
         lo = np.floor(w)
         if not ((wr == lo) | (wr == lo + 1)).all():
             raise InvariantError("a rounded weight is not floor or floor+1")
         if int(self.w_rounded.sum()) != self.W0:
             raise InvariantError("rounded total differs from W0")
-        disc = np.abs(self.s_rounded[1:] - self.scaled.size[1:])
+        disc = np.abs(self.s_rounded[1:] - self.tree.size[1:])
         if float(disc.max(initial=0.0)) > 1.0 + tol:
             raise InvariantError("a subtree discrepancy exceeds 1")
 
@@ -117,7 +127,7 @@ def discrepancy_round(scaled: CanonicalTree) -> RoundedTree:
     s_rounded = np.zeros(n + 1, dtype=np.int64)
     left = np.where(pos > 0, rounded_csum[pos - 1], 0.0)
     s_rounded[1:] = (rounded_csum[ends] - left).astype(np.int64)
-    return RoundedTree(scaled, scaled, w_rounded, s_rounded, int(round(float(rounded_csum[-1]))))
+    return RoundedTree(scaled, w_rounded, s_rounded, int(round(float(rounded_csum[-1]))))
 
 
 @dataclass
@@ -128,37 +138,15 @@ class ReducedTree:
     ordered by rounded size.  ``orig_label`` maps reduced labels back to
     input labels (0 for placeholders); ``placeholder_roots`` maps each
     placeholder to the removed input children it stands for; ``chains``
-    records maximal compressible zero-weight chains.
+    records maximal compressible zero-weight chains; ``rounded`` is the
+    rounding the tree was reduced from.
     """
 
     tree: CanonicalTree
-    base: CanonicalTree
     rounded: RoundedTree
     orig_label: np.ndarray
     placeholder_roots: dict[int, np.ndarray]
     chains: dict[int, _Chain]
-    chain_skip: frozenset[int]
-
-    @property
-    def positive_weight_nodes(self) -> int:
-        return int((self.tree.weight[1:] > 0).sum())
-
-    @property
-    def zero_branching_nodes(self) -> int:
-        """Zero-weight reduced nodes with two or more positively sized children."""
-        t = self.tree
-        out = 0
-        for v in range(1, t.n + 1):
-            if t.weight[v] == 0 and t.degree[v] > 0:
-                fc = int(t.first_child[v])
-                d = int(t.degree[v])
-                if int((t.size[fc : fc + d] > 0).sum()) >= 2:
-                    out += 1
-        return out
-
-    @property
-    def path_records(self) -> list[tuple[int, int, int, int]]:
-        return [(c.top, c.bottom, c.l, c.lprime) for c in self.chains.values()]
 
 
 def reduce_tree(rt: RoundedTree) -> ReducedTree:
@@ -169,7 +157,7 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
     The reduced tree is labelled by the builder :func:`canonicalize`
     uses, with children ordered by rounded size and ties by input label.
     """
-    base = rt.base
+    scaled = rt.tree
     s = rt.s_rounded
     if s[1] <= 0:
         raise ValueError("all rounded weights are zero")
@@ -177,22 +165,22 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
     kept = np.flatnonzero(s[1:] > 0) + 1
     n_kept = kept.shape[0]
     # Reduced-node index of every kept input label.
-    tmp_of_orig = np.zeros(base.n + 1, dtype=np.int64)
+    tmp_of_orig = np.zeros(scaled.n + 1, dtype=np.int64)
     tmp_of_orig[kept] = np.arange(n_kept)
     # Zero-sized children of kept nodes; in label order, so grouped by parent.
     zero = np.flatnonzero(s[2:] == 0) + 2
-    zero = zero[s[base.parent[zero]] > 0]
-    ph_parent, ph_start = np.unique(base.parent[zero], return_index=True)
+    zero = zero[s[scaled.parent[zero]] > 0]
+    ph_parent, ph_start = np.unique(scaled.parent[zero], return_index=True)
     n_ph = ph_parent.shape[0]
 
     # Reduced nodes: the kept nodes, root first, then one placeholder per
     # parent in ph_parent.  Placeholders are the only zero-sized children,
     # so their tie key (0) never decides an order.
-    parent = np.concatenate((tmp_of_orig[base.parent[kept]], tmp_of_orig[ph_parent]))
+    parent = np.concatenate((tmp_of_orig[scaled.parent[kept]], tmp_of_orig[ph_parent]))
     parent[0] = -1
     orig = np.concatenate((kept, np.zeros(n_ph, dtype=np.int64)))
     weight = np.concatenate((rt.w_rounded[kept], np.zeros(n_ph, dtype=np.int64)))
-    ids = list(map(base.ext_of_label.__getitem__, kept.tolist())) + [None] * n_ph
+    ids = list(map(scaled.ext_of_label.__getitem__, kept.tolist())) + [None] * n_ph
     tree, label = _canonical(parent, 0, weight, orig, ids)
 
     orig_label = np.zeros(tree.n + 1, dtype=np.int64)
@@ -202,52 +190,48 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
         tree.ext_of_label[lab] = f"~other~{lab}"
     placeholder_roots = dict(zip(ph_label, np.split(zero, ph_start[1:])))
 
-    chains, chain_skip = _find_chains(tree)
-    return ReducedTree(tree, base, rt, orig_label, placeholder_roots, chains, chain_skip)
+    return ReducedTree(tree, rt, orig_label, placeholder_roots, _find_chains(tree))
 
 
-def _find_chains(t: CanonicalTree) -> tuple[dict[int, _Chain], frozenset]:
-    """Locate maximal descending chains of zero-weight pass-through nodes."""
-    n = t.n
+def _find_chains(t: CanonicalTree) -> dict[int, _Chain]:
+    """Locate maximal descending chains of zero-weight pass-through nodes.
+
+    A chain node has weight zero and either one child, or two children of
+    which exactly one is a zero-weight leaf; the chain continues into the
+    other child.  Chains are keyed by their top, in label order.
+    """
     deg = t.degree
-    w = t.weight
-    is_zero_leaf = np.zeros(n + 1, dtype=bool)
-    is_zero_leaf[1:] = (deg[1:] == 0) & (w[1:] == 0)
-    continuation = np.zeros(n + 1, dtype=np.int64)
-    zleaf = np.zeros(n + 1, dtype=np.int64)
-    candidate = np.zeros(n + 1, dtype=bool)
-    for v in range(1, n + 1):
-        if w[v] != 0 or deg[v] == 0:
-            continue
-        fc = int(t.first_child[v])
-        if deg[v] == 1:
-            candidate[v] = True
-            continuation[v] = fc
-        elif deg[v] == 2:
-            z1 = bool(is_zero_leaf[fc])
-            z2 = bool(is_zero_leaf[fc + 1])
-            if z1 != z2:
-                candidate[v] = True
-                zleaf[v] = fc if z1 else fc + 1
-                continuation[v] = fc + 1 if z1 else fc
+    fc = t.first_child
+    zero = t.weight == 0
+    zero_leaf = zero & (deg == 0)
+    two = np.flatnonzero(zero & (deg == 2))
+    z1 = zero_leaf[fc[two]]  # the zero leaf comes first
+    keep = z1 != zero_leaf[fc[two] + 1]
+    two, z1 = two[keep], z1[keep]
+    candidate = zero & (deg == 1)
+    continuation = np.where(candidate, fc, 0)
+    continuation[two] = np.where(z1, fc[two] + 1, fc[two])
+    zleaf = np.zeros(t.n + 1, dtype=np.int64)
+    zleaf[two] = np.where(z1, fc[two], fc[two] + 1)
+    candidate[two] = True
+    candidate[0] = False
+    # A candidate's only child besides its continuation is a leaf, so a
+    # candidate under a candidate is interior to a chain.
+    tops = np.flatnonzero(candidate & ~candidate[t.parent])
+
+    candidate = candidate.tolist()
+    continuation = continuation.tolist()
+    zleaf = zleaf.tolist()
     chains: dict[int, _Chain] = {}
-    skip = set()
-    for v in range(1, n + 1):
-        if not candidate[v]:
-            continue
-        p = int(t.parent[v])
-        if p and candidate[p] and continuation[p] == v:
-            continue  # interior of a longer chain
+    for v in tops.tolist():
         seq = []
         cur = v
         while candidate[cur]:
-            seq.append((cur, int(zleaf[cur])))
-            cur = int(continuation[cur])
+            seq.append((cur, zleaf[cur]))
+            cur = continuation[cur]
         lprime = sum(1 for _, z in seq if z)
         chains[v] = _Chain(v, cur, len(seq), lprime, tuple(seq))
-        for node, _ in seq[1:]:
-            skip.add(node)
-    return chains, frozenset(skip)
+    return chains
 
 
 @dataclass
@@ -263,7 +247,6 @@ class ApproxResult:
     epsilon: float
     c: float
     W0: int
-    rounded: RoundedTree
     reduced: ReducedTree
     tables: DPTables
     trees: list[SummaryTree]
@@ -279,43 +262,29 @@ class ApproxResult:
         return self.tables.pair_cost
 
 
-def _map_to_original(raw: list[_RawNode], red: ReducedTree):
-    """Translate reduced-tree summary nodes back to the input tree."""
-    base = red.base
-    tp = red.tree
+def _map_to_original(
+    nodes: list[SummaryNode], red: ReducedTree, base: CanonicalTree
+) -> list[SummaryNode]:
+    """Translate reduced-tree summary nodes, in place, back to the input tree."""
     ol = red.orig_label
-    nodes: list[SummaryNode] = []
-    rweights: list[int] = []
-    for r in raw:
-        if r.kind == "singleton":
-            ov = int(ol[r.anchor])
-            if ov:
-                nodes.append(
-                    SummaryNode("singleton", ov, r.parent, float(base.weight[ov]))
-                )
-                rweights.append(int(tp.weight[r.anchor]))
-                continue
-            roots = red.placeholder_roots[r.anchor]
-            parent_orig = int(ol[tp.parent[r.anchor]])
-            nodes.append(_group_or_subtree(base, parent_orig, list(roots), r.parent))
-            rweights.append(0)
-        elif r.kind == "subtree":
-            ov = int(ol[r.anchor])
-            nodes.append(SummaryNode("subtree", ov, r.parent, float(base.size[ov])))
-            rweights.append(int(tp.size[r.anchor]))
-        else:
+    for i, nd in enumerate(nodes):
+        if nd.kind == "group":
             roots: list[int] = []
-            rw = 0
-            for c in r.child_roots:
-                rw += int(tp.size[c])
+            for c in nd.child_roots:
                 oc = int(ol[c])
                 if oc:
                     roots.append(oc)
                 else:
                     roots.extend(int(x) for x in red.placeholder_roots[c])
-            nodes.append(_group_or_subtree(base, int(ol[r.anchor]), roots, r.parent))
-            rweights.append(rw)
-    return nodes, rweights
+            nodes[i] = _group_or_subtree(base, int(ol[nd.anchor]), roots, nd.parent)
+        elif ol[nd.anchor]:
+            nd.anchor = int(ol[nd.anchor])
+            nd.weight = float(node_weight(nd, base.weight, base.size))
+        else:  # a placeholder stands for the zero-sized children it removed
+            roots = list(red.placeholder_roots[nd.anchor])
+            parent_orig = int(ol[red.tree.parent[nd.anchor]])
+            nodes[i] = _group_or_subtree(base, parent_orig, roots, nd.parent)
+    return nodes
 
 
 def _group_or_subtree(
@@ -329,14 +298,13 @@ def _group_or_subtree(
     return SummaryNode("group", parent_orig, parent_idx, weight, (), tuple(sorted(roots)))
 
 
-def _pad_to_k(nodes: list[SummaryNode], rweights: list[int], k: int, red: ReducedTree) -> None:
+def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: CanonicalTree) -> None:
     """Split zero-rounded-weight pieces off until the tree has k nodes.
 
     Only splits whose separated piece carries zero rounded weight are
     taken, so the rounded entropy (and with it the optimality of the
     tree under the rounded weights) is preserved.
     """
-    base = red.base
     s_r = red.rounded.s_rounded
     w_r = red.rounded.w_rounded
     while len(nodes) < k:
@@ -351,13 +319,10 @@ def _pad_to_k(nodes: list[SummaryNode], rweights: list[int], k: int, red: Reduce
                 piece = _group_or_subtree(base, nd.anchor, [c], nd.parent)
                 if len(rest) == 1:
                     nodes[i] = _group_or_subtree(base, nd.anchor, [rest[0]], nd.parent)
-                    rweights[i] = int(s_r[rest[0]])
                 else:
                     nd.child_roots = rest
                     nd.weight -= float(base.size[c])
-                    rweights[i] -= int(s_r[c])
                 nodes.append(piece)
-                rweights.append(int(s_r[c]))
                 done = True
                 break
             if nd.kind == "subtree":
@@ -369,10 +334,7 @@ def _pad_to_k(nodes: list[SummaryNode], rweights: list[int], k: int, red: Reduce
                     continue
                 kids = list(base.children(y))
                 nodes[i] = SummaryNode("singleton", y, nd.parent, float(base.weight[y]))
-                rweights[i] = int(w_r[y])
-                child = _group_or_subtree(base, y, kids, i)
-                nodes.append(child)
-                rweights.append(tail)
+                nodes.append(_group_or_subtree(base, y, kids, i))
                 done = True
                 break
         if not done:
@@ -389,34 +351,37 @@ def solve_approx(
     (with O(K) shortcuts across recorded zero-weight chains), and map the
     reconstructed trees back to the original ids and weights.  Runs in
     O(n + W0 * K^3) time.
+
+    Raises:
+        ValueError: epsilon or c out of range, or W0 so large that the
+            rounding loses its guarantees in float64.
     """
     W0 = compute_W0(K, epsilon, c)
-    scaled = rescale(t, W0)
-    rounded = discrepancy_round(scaled)
-    rounded = RoundedTree(t, scaled, rounded.w_rounded, rounded.s_rounded, rounded.W0)
+    rounded = discrepancy_round(rescale(t, W0))
+    try:
+        rounded.check()
+    except InvariantError as exc:
+        raise ValueError(
+            f"epsilon={epsilon!r} needs W0={W0}, too large to round exactly: {exc}"
+        ) from exc
     reduced = reduce_tree(rounded)
-    engine = _Engine(
-        reduced.tree, K, mode="exact", chains=reduced.chains, chain_skip=reduced.chain_skip
-    )
-    tables = DPTables(engine)
-    max_k = min(K, t.n)
+    tables = DPTables(reduced.tree, K, chains=reduced.chains)
+    w_r = rounded.w_rounded
+    s_r = rounded.s_rounded
     W = t.W
     W0f = float(W0)
     trees: list[SummaryTree] = []
     ents: list[float] = []
     ents_rounded: list[float] = []
-    for k in range(1, max_k + 1):
-        kq = min(k, tables.max_k)
-        raw = engine.rebuild(kq)
-        nodes, rweights = _map_to_original(raw, reduced)
-        _pad_to_k(nodes, rweights, k, reduced)
+    for k in range(1, min(K, t.n) + 1):
+        nodes = _map_to_original(tables.rebuild(min(k, tables.max_k)), reduced, t)
+        _pad_to_k(nodes, k, reduced, t)
         ent = float(_terms(np.array([nd.weight for nd in nodes]), W).sum())
-        ent_r = float(_terms(np.array(rweights, dtype=np.float64), W0f).sum())
+        weight_r = np.array([node_weight(nd, w_r, s_r) for nd in nodes], dtype=np.float64)
+        ent_r = float(_terms(weight_r, W0f).sum())
         tree = SummaryTree(k, ent, W, nodes)
         attach_members(tree, t)
         trees.append(tree)
         ents.append(ent)
         ents_rounded.append(ent_r)
-    return ApproxResult(
-        K, epsilon, c, W0, rounded, reduced, tables, trees, ents, ents_rounded
-    )
+    return ApproxResult(K, epsilon, c, W0, reduced, tables, trees, ents, ents_rounded)

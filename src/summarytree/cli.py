@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -154,8 +155,8 @@ def _run_solve(argv: Sequence[str]) -> int:
     fmt = args.format or ("json" if str(args.input).endswith(".json") else "csv")
     if args.algorithm == "approx" and args.epsilon is None:
         raise _UsageError("--algorithm approx requires --epsilon")
-    if args.epsilon is not None and args.epsilon <= 0:
-        raise _UsageError("--epsilon must be positive")
+    if args.epsilon is not None and not 0 < args.epsilon < math.inf:
+        raise _UsageError("--epsilon must be positive and finite")
 
     t0 = time.perf_counter()
     tree = read_csv(args.input) if fmt == "csv" else read_json(args.input)

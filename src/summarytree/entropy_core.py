@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "EntropyBits",
     "PseudoEntropy",
     "entropy",
     "node_pseudo_entropy",
@@ -32,13 +31,6 @@ __all__ = [
 
 #: relative tolerance used when validating that weights sum to the stated total
 SUM_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EntropyBits:
-    """Shannon entropy of a weight distribution, in bits."""
-
-    value: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ def _terms(weights: np.ndarray, total: float) -> np.ndarray:
     return out
 
 
-def entropy(weights: Sequence[float], total: float) -> EntropyBits:
+def entropy(weights: Sequence[float], total: float) -> float:
     """Shannon entropy in bits of ``weights`` normalized by ``total``.
 
     ``weights`` must be nonnegative and sum to ``total`` within a relative
@@ -90,7 +82,7 @@ def entropy(weights: Sequence[float], total: float) -> EntropyBits:
     s = float(w.sum())
     if abs(s - total) > SUM_REL_TOL * max(abs(total), abs(s)):
         raise ValueError(f"weights sum to {s!r}, expected total {total!r}")
-    return EntropyBits(float(_terms(w, total).sum()))
+    return float(_terms(w, total).sum())
 
 
 def node_pseudo_entropy(weight: float, total: float) -> PseudoEntropy:
@@ -108,7 +100,7 @@ def node_pseudo_entropy(weight: float, total: float) -> PseudoEntropy:
     return PseudoEntropy(_term(weight, total), total)
 
 
-def pseudo_to_entropy(p: PseudoEntropy, total: float, subtree_total: float) -> EntropyBits:
+def pseudo_to_entropy(p: PseudoEntropy, total: float, subtree_total: float) -> float:
     """Convert a subtree's pseudo-entropy into its ordinary entropy.
 
     ``total`` is the reference total the pseudo-entropy was computed
@@ -123,6 +115,6 @@ def pseudo_to_entropy(p: PseudoEntropy, total: float, subtree_total: float) -> E
     if subtree_total > total:
         raise ValueError("subtree total exceeds the reference total")
     if subtree_total == total:
-        return EntropyBits(p.value)
+        return p.value
     ratio = total / subtree_total
-    return EntropyBits(ratio * p.value - math.log2(ratio))
+    return ratio * p.value - math.log2(ratio)

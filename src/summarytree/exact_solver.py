@@ -32,6 +32,13 @@ classes by increasing j, then the smallest left-table split inside a
 max-plus combination.  The fill records the winning class of every
 table entry, so reconstruction replays only that one class, in record
 mode, to recover the split.
+
+One object, :class:`DPTables`, fills and reconstructs the tables for all
+three solvers: exact, greedy (``mode="greedy"``) and approx, which builds
+it on its reduced tree with the recorded zero-weight ``chains``.
+``rebuild(k)`` yields the :class:`SummaryNode` list of an optimal tree,
+weighted by :func:`summary.node_weight`; ``reconstruct(k)`` adds the
+entropy and the members.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .entropy_core import _terms
-from .summary import InvariantError, SummaryNode, SummaryTree, attach_members
+from .summary import InvariantError, SummaryNode, SummaryTree, attach_members, node_weight
 from .tree_model import CanonicalTree
 
 __all__ = ["DPTables", "solve_exact"]
@@ -65,14 +72,6 @@ class _Chain:
     l: int
     lprime: int
     seq: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class _RawNode:
-    kind: str
-    anchor: int
-    parent: int
-    child_roots: tuple[int, ...] = ()
 
 
 def _skew_maxplus(G: np.ndarray, B: np.ndarray, want_arg: bool):
@@ -155,8 +154,21 @@ def _sweep_tables(
     return G, steps, base_pos
 
 
-class _Engine:
-    """Bottom-up DP over a canonical tree; shared by exact, greedy, and reduced runs."""
+class DPTables:
+    """Bottom-up DP tables F(v, k) plus reconstruction, shared by all solvers.
+
+    F(v, k) is the maximum pseudo-entropy of any k-node summary tree of
+    v's subtree, defined for 1 <= k <= min(K, n_v).  At the root the
+    pseudo-entropy equals the entropy, so ``entropy_bits(k)`` reads the
+    table directly.  ``mode="greedy"`` drops the near-prefix classes and
+    absorbs one more child into every seed.  ``chains`` (reduced trees
+    only) maps each chain top to its :class:`_Chain`; the top's table is
+    the bottom's shifted, and the interior chain nodes get no table.
+
+    ``pair_cost`` is the sum of min(prefix, K) * min(child, K) over
+    prefix-class combining steps, where prefix is the descendant count
+    already covered; it is at most 2*K*n.
+    """
 
     def __init__(
         self,
@@ -164,15 +176,13 @@ class _Engine:
         K: int,
         mode: str = "exact",
         chains: Optional[dict] = None,
-        chain_skip: Optional[frozenset] = None,
     ):
         if K < 1:
             raise ValueError("K must be >= 1")
-        self.t = tree
+        self.tree = tree
         self.K = K
         self.mode = mode
         self.chains = chains or {}
-        self.chain_skip = chain_skip or frozenset()
         self.pair_cost = 0
         W = tree.W
         log2 = math.log2
@@ -191,6 +201,7 @@ class _Engine:
         offs[1:] = np.cumsum(caps[1:]) - caps[1:]
         self.caps = caps
         self.offs = offs
+        self.max_k = int(caps[1])
         self.F = np.empty(int(caps.sum()), dtype=np.float64)
         # Candidate class that attains each F entry: 0 for the prefix
         # class, j for the near-prefix class whose group holds child j.
@@ -204,13 +215,13 @@ class _Engine:
     # -- solving ---------------------------------------------------------- #
 
     def _solve(self) -> None:
-        t = self.t
+        t = self.tree
         deg = t.degree
         leaves = np.flatnonzero(deg[1:] == 0) + 1
         self.F[self.offs[leaves]] = self.ps[leaves]
         internal = (np.flatnonzero(deg[1:] > 0) + 1)[::-1]
         chains = self.chains
-        skip = self.chain_skip
+        skip = {node for ch in chains.values() for node, _ in ch.seq[1:]}
         for v in internal:
             v = int(v)
             if chains:
@@ -261,7 +272,7 @@ class _Engine:
         prefix sweep's pair cost; with it, sweeps just class ``only`` in
         record mode.
         """
-        t = self.t
+        t = self.tree
         d = int(t.degree[v])
         fc = int(t.first_child[v])
         sizes = t.size[fc : fc + d]
@@ -309,21 +320,36 @@ class _Engine:
     # -- reconstruction --------------------------------------------------- #
 
     def value(self, v: int, k: int) -> float:
+        """F(v, k): best pseudo-entropy of a k-node summary tree of subtree v."""
         cap = int(self.caps[v])
         if not 1 <= k <= cap:
             raise ValueError(f"k={k} outside 1..{cap} for node {v}")
         return float(self.F[self.offs[v] + k - 1])
 
-    def rebuild(self, k: int) -> list[_RawNode]:
-        cap = int(self.caps[1])
-        if not 1 <= k <= cap:
-            raise ValueError(f"k={k} outside 1..{cap}")
-        t = self.t
-        nodes: list[_RawNode] = []
+    def entropy_bits(self, k: int) -> float:
+        """Maximum entropy (bits) over k-node summary trees of the whole tree."""
+        return self.value(1, k)
+
+    def all_entropy_bits(self) -> list[float]:
+        return [self.entropy_bits(k) for k in range(1, self.max_k + 1)]
+
+    def reconstruct(self, k: int) -> SummaryTree:
+        """Materialize an optimal k-node summary tree."""
+        t = self.tree
+        nodes = self.rebuild(k)
+        ent = float(_terms(np.array([nd.weight for nd in nodes]), t.W).sum())
+        return attach_members(SummaryTree(k, ent, t.W, nodes), t)
+
+    def rebuild(self, k: int) -> list[SummaryNode]:
+        """The nodes of an optimal k-node summary tree, without members."""
+        if not 1 <= k <= self.max_k:
+            raise ValueError(f"k={k} outside 1..{self.max_k}")
+        t = self.tree
+        nodes: list[SummaryNode] = []
         stack: list[tuple[int, int, int]] = [(1, k, -1)]
         while stack:
             v, kk, par = stack.pop()
-            if kk > 1 and self.chains and v in self.chains:
+            if kk > 1 and v in self.chains:
                 self._walk_chain(self.chains[v], kk, par, nodes, stack)
                 continue
             if kk == 1 or int(t.count[v]) == 1:
@@ -331,16 +357,21 @@ class _Engine:
                 continue
             other, splits = self._rebuild_node(v, kk)
             me = len(nodes)
-            nodes.append(_RawNode("singleton", v, par))
+            nodes.append(self._node("singleton", v, par))
             if other:
-                nodes.append(_RawNode("group", v, me, tuple(sorted(other))))
+                nodes.append(self._node("group", v, me, tuple(sorted(other))))
             for c, kc in sorted(splits, reverse=True):
                 stack.append((c, kc, me))
         return nodes
 
-    def _collapsed(self, v: int, par: int) -> _RawNode:
-        kind = "subtree" if int(self.t.count[v]) > 1 else "singleton"
-        return _RawNode(kind, v, par)
+    def _node(self, kind: str, v: int, par: int, roots: tuple[int, ...] = ()) -> SummaryNode:
+        nd = SummaryNode(kind, v, par, 0.0, (), roots)
+        nd.weight = float(node_weight(nd, self.tree.weight, self.tree.size))
+        return nd
+
+    def _collapsed(self, v: int, par: int) -> SummaryNode:
+        kind = "subtree" if int(self.tree.count[v]) > 1 else "singleton"
+        return self._node(kind, v, par)
 
     def _walk_chain(self, ch: _Chain, kk: int, par: int, nodes, stack) -> None:
         """Re-materialize a zero-weight chain: peel singletons down to the budget."""
@@ -352,20 +383,20 @@ class _Engine:
                 nodes.append(self._collapsed(vi, cur))
                 return
             me = len(nodes)
-            nodes.append(_RawNode("singleton", vi, cur))
+            nodes.append(self._node("singleton", vi, cur))
             cur = me
             b -= 1
             if zi:
                 if b == 1:
                     nxt = seq[idx + 1][0] if idx + 1 < len(seq) else ch.bottom
-                    nodes.append(_RawNode("group", vi, cur, tuple(sorted((zi, nxt)))))
+                    nodes.append(self._node("group", vi, cur, tuple(sorted((zi, nxt)))))
                     return
                 nodes.append(self._collapsed(zi, cur))
                 b -= 1
         stack.append((ch.bottom, b, cur))
 
     def _rebuild_node(self, v: int, kk: int):
-        t = self.t
+        t = self.tree
         d = int(t.degree[v])
         fc = int(t.first_child[v])
         kf = kk - 1
@@ -421,72 +452,10 @@ def _prefix_charge(counts: np.ndarray, a: int, K: int) -> int:
     return total
 
 
-class DPTables:
-    """Solved per-node tables F(v, k) plus reconstruction.
-
-    F(v, k) is the maximum pseudo-entropy of any k-node summary tree of
-    v's subtree, defined for 1 <= k <= min(K, n_v).  At the root the
-    pseudo-entropy equals the entropy, so ``entropy_bits(k)`` reads the
-    table directly.
-    """
-
-    def __init__(self, engine: _Engine):
-        self._engine = engine
-
-    @property
-    def tree(self) -> CanonicalTree:
-        return self._engine.t
-
-    @property
-    def K(self) -> int:
-        return self._engine.K
-
-    @property
-    def max_k(self) -> int:
-        return int(self._engine.caps[1])
-
-    @property
-    def pair_cost(self) -> int:
-        """Sum of min(prefix, K) * min(child, K) over prefix-class combining
-        steps, where prefix is the descendant count already covered; at
-        most 2*K*n after a full solve."""
-        return self._engine.pair_cost
-
-    def value(self, v: int, k: int) -> float:
-        """F(v, k): best pseudo-entropy of a k-node summary tree of subtree v."""
-        return self._engine.value(v, k)
-
-    def entropy_bits(self, k: int) -> float:
-        """Maximum entropy (bits) over k-node summary trees of the whole tree."""
-        return self._engine.value(1, k)
-
-    def all_entropy_bits(self) -> list[float]:
-        return [self.entropy_bits(k) for k in range(1, self.max_k + 1)]
-
-    def reconstruct(self, k: int) -> SummaryTree:
-        """Materialize an optimal k-node summary tree."""
-        t = self.tree
-        raw = self._engine.rebuild(k)
-        size = t.size
-        weight = t.weight
-        nodes = []
-        for r in raw:
-            if r.kind == "singleton":
-                w = float(weight[r.anchor])
-            elif r.kind == "subtree":
-                w = float(size[r.anchor])
-            else:
-                w = float(sum(size[c] for c in r.child_roots))
-            nodes.append(SummaryNode(r.kind, r.anchor, r.parent, w, (), r.child_roots))
-        ent = float(_terms(np.array([nd.weight for nd in nodes]), t.W).sum())
-        tree = SummaryTree(k, ent, t.W, nodes)
-        return attach_members(tree, t)
-
-
 def solve_exact(t: CanonicalTree, K: int) -> DPTables:
     """Solve for maximum-entropy summary trees of every order k <= K.
 
     Runs in O(K^2 n + n log n) including canonicalization; the returned
     tables cover 1 <= k <= min(K, n) and support reconstruction.
     """
-    return DPTables(_Engine(t, K, mode="exact"))
+    return DPTables(t, K)

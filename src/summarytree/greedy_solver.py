@@ -13,7 +13,7 @@ roughly 1.5 vs 1.0 bits.
 
 from __future__ import annotations
 
-from .exact_solver import DPTables, _Engine
+from .exact_solver import DPTables
 from .tree_model import CanonicalTree
 
 __all__ = ["solve_greedy"]
@@ -26,4 +26,4 @@ def solve_greedy(t: CanonicalTree, K: int) -> DPTables:
     never exceed the exact optimum, and coincide with it on trees (such
     as paths) where no near-prefix group can help.
     """
-    return DPTables(_Engine(t, K, mode="greedy"))
+    return DPTables(t, K, mode="greedy")

@@ -65,6 +65,18 @@ class SummaryTree:
         return ()
 
 
+def node_weight(nd: SummaryNode, weight, size):
+    """Weight of ``nd`` given per-node ``weight`` and subtree ``size`` arrays.
+
+    A group sums its roots' sizes in ``child_roots`` order.
+    """
+    if nd.kind == "singleton":
+        return weight[nd.anchor]
+    if nd.kind == "subtree":
+        return size[nd.anchor]
+    return sum(size[c] for c in nd.child_roots)
+
+
 def recompute_entropy_bits(tree: SummaryTree) -> float:
     """Entropy of the summary tree recomputed from its node weights."""
     return float(_terms(np.array(tree.node_weights()), tree.total_weight).sum())

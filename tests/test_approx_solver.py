@@ -18,6 +18,49 @@ from summarytree.tree_model import from_arrays
 from tests.conftest import assert_canonical, make_tree, path_tree, star_tree, tree_records
 
 
+def chain_records(red):
+    return [(c.top, c.bottom, c.l, c.lprime) for c in red.chains.values()]
+
+
+def positive_weight_nodes(red):
+    return int((red.tree.weight[1:] > 0).sum())
+
+
+def reference_chains(t):
+    """Maximal zero-weight chains found by a per-node loop over the reduced tree."""
+    cont, zleaf = {}, {}
+    for v in range(1, t.n + 1):
+        kids = list(t.children(v))
+        if t.weight[v] != 0 or len(kids) not in (1, 2):
+            continue
+        zero_leaf = [t.degree[c] == 0 and t.weight[c] == 0 for c in kids]
+        if len(kids) == 1:
+            cont[v], zleaf[v] = kids[0], 0
+        elif zero_leaf[0] != zero_leaf[1]:
+            z = 0 if zero_leaf[0] else 1
+            cont[v], zleaf[v] = kids[1 - z], kids[z]
+    out = []
+    for v in sorted(cont):
+        if cont.get(int(t.parent[v])) == v:
+            continue  # interior of a longer chain
+        seq, cur = [], v
+        while cur in cont:
+            seq.append((cur, zleaf[cur]))
+            cur = cont[cur]
+        out.append((v, cur, len(seq), sum(1 for _, z in seq if z), tuple(seq)))
+    return out
+
+
+def zero_branching_nodes(red):
+    """Zero-weight reduced nodes with two or more positively sized children."""
+    t = red.tree
+    return sum(
+        1
+        for v in range(1, t.n + 1)
+        if t.weight[v] == 0 and sum(t.size[c] > 0 for c in t.children(v)) >= 2
+    )
+
+
 class TestComputeW0:
     def test_documented_values(self):
         assert compute_W0(4, 0.5, 2) == 67
@@ -34,6 +77,13 @@ class TestComputeW0:
     def test_clamped_below_by_2K(self):
         assert compute_W0(100, 1000.0, 2) == 200
 
+    def test_infeasible_epsilon_rejected(self):
+        # 1e-308 overflows the W0 formula; 1e-15 gives W0 = 2.07e17 >= 2**53.
+        for eps in (float("nan"), float("inf"), 1e-308, 1e-15):
+            with pytest.raises(ValueError, match="epsilon"):
+                compute_W0(2, eps)
+        assert compute_W0(2, 1e-13) < 2**53
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             compute_W0(0, 0.5)
@@ -41,6 +91,8 @@ class TestComputeW0:
             compute_W0(4, 0.0)
         with pytest.raises(ValueError):
             compute_W0(4, 0.5, 0.0)
+        with pytest.raises(ValueError, match="c must be"):
+            compute_W0(4, 0.5, float("nan"))
 
 
 class TestRescale:
@@ -113,8 +165,8 @@ class TestReduceTree:
             ]
         )
         red = reduce_tree(discrepancy_round(t))
-        assert len(red.path_records) == 1
-        top, bottom, l, lprime = red.path_records[0]
+        assert len(chain_records(red)) == 1
+        top, bottom, l, lprime = chain_records(red)[0]
         assert (l, lprime) == (3, 0)
         assert red.tree.ext(top) == "a" and red.tree.ext(bottom) == "u"
 
@@ -130,8 +182,8 @@ class TestReduceTree:
             ]
         )
         red = reduce_tree(discrepancy_round(t))
-        assert len(red.path_records) == 1
-        _, _, l, lprime = red.path_records[0]
+        assert len(chain_records(red)) == 1
+        _, _, l, lprime = chain_records(red)[0]
         assert (l, lprime) == (2, 2)
 
     @given(tree_records(max_n=40, integer_weights=True))
@@ -142,6 +194,22 @@ class TestReduceTree:
             rt = discrepancy_round(rescale(t, w0))
             if rt.s_rounded[1] > 0:
                 assert_canonical(reduce_tree(rt).tree)
+
+    def test_chains_match_per_node_reference(self):
+        rng = np.random.default_rng(27)
+        found = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            parents = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+            weights = np.where(rng.random(n) < rng.random(), 0.0, rng.integers(1, 4, n))
+            weights[0] += 1.0
+            t = canonicalize(from_arrays(parents, weights))
+            for w0 in (1, 3, 10):
+                red = reduce_tree(discrepancy_round(rescale(t, w0)))
+                got = [(c.top, c.bottom, c.l, c.lprime, c.seq) for c in red.chains.values()]
+                assert got == reference_chains(red.tree)
+                found += len(got)
+        assert found > 500
 
     def test_all_zero_rejected(self):
         t = make_tree([("r", None, 0.2), ("a", "r", 0.2)])
@@ -175,7 +243,7 @@ class TestReduceTree:
             ]
         )
         red = reduce_tree(discrepancy_round(t))
-        assert red.path_records
+        assert chain_records(red)
         ap = solve_approx(t, t.n, 0.5)
         for k in range(1, t.n + 1):
             assert ap.entropy_bits[k - 1] == pytest.approx(
@@ -252,7 +320,7 @@ class TestSolveApprox:
         t = canonicalize(from_arrays(parents, np.ones(n)))
         ap = solve_approx(t, 4, 0.5)
         assert ap.W0 == 67
-        assert ap.reduced.positive_weight_nodes <= ap.W0
+        assert positive_weight_nodes(ap.reduced) <= ap.W0
         assert ap.reduced.tree.n <= 3 * ap.W0
         for k in range(1, 5):
             assert len(ap.trees[k - 1].nodes) == k
@@ -264,11 +332,11 @@ class TestSolveApprox:
             t = canonicalize(random_tree(n, weights="uniform", max_weight=1, seed=rng))
             ap = solve_approx(t, 4, 1.0)
             red = ap.reduced
-            assert red.positive_weight_nodes <= ap.W0
-            assert red.zero_branching_nodes <= ap.W0 - 1
+            assert positive_weight_nodes(red) <= ap.W0
+            assert zero_branching_nodes(red) <= ap.W0 - 1
             # Each maximal chain bottoms out at a distinct positive-size,
             # non-chain, non-root node, of which there are at most 2(W0-1).
-            assert len(red.path_records) <= 2 * (ap.W0 - 1)
+            assert len(chain_records(red)) <= 2 * (ap.W0 - 1)
 
     def test_two_chains_can_share_one_mass_pair(self):
         # Regression: a zero-weight branch point feeding two zero chains
@@ -279,7 +347,7 @@ class TestSolveApprox:
         )
         red = reduce_tree(discrepancy_round(t))
         assert red.rounded.W0 == 2
-        assert len(red.path_records) == 2
+        assert len(chain_records(red)) == 2
         ap = solve_approx(t, 5, 0.5)
         ex = solve_exact(t, 5)
         assert ap.entropy_bits == pytest.approx(ex.all_entropy_bits(), abs=1e-9)

@@ -19,6 +19,13 @@ def csv_tree(tmp_path):
     return p
 
 
+@pytest.fixture
+def path3_csv(tmp_path):
+    p = tmp_path / "p3.csv"
+    p.write_text("id,parent,weight\nr,,0.1\na,r,0.2\nb,a,0.3\n", encoding="utf-8")
+    return p
+
+
 def _solve_args(csv_tree, tmp_path, *extra):
     out = tmp_path / "out.json"
     return (
@@ -146,6 +153,25 @@ class TestErrors:
     def test_seed_is_not_a_solve_flag(self, csv_tree, capsys):
         assert run(["--input", str(csv_tree), "-K", "2", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    @pytest.mark.parametrize(
+        "epsilon, category",
+        [("1e-308", "input"), ("1e-15", "input"), ("nan", "usage"), ("inf", "usage")],
+    )
+    def test_infeasible_epsilon_is_one_error_line(self, path3_csv, capsys, epsilon, category):
+        rc = run(["--input", str(path3_csv), "-K", "2", "--algorithm", "approx", "--epsilon", epsilon])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {category}:") and err.count("\n") == 1
+
+    def test_epsilon_past_exact_rounding_is_input_error(self, path3_csv, capsys):
+        # W0 = 6.3e15 is below 2**53, yet the float64 prefix sums of the
+        # rescaled weights already round one weight outside floor/ceiling.
+        rc = run(["--input", str(path3_csv), "-K", "2", "--algorithm", "approx", "--epsilon", "3e-14"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: epsilon=3e-14 needs W0=6256270777026926")
+        assert err.count("\n") == 1
 
     def test_invariant_violation_exits_2(self, csv_tree, capsys, monkeypatch):
         import summarytree.cli as cli

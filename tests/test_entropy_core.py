@@ -10,16 +10,16 @@ H_1_3 = 0.8112781244591328  # 0.25*lg4 + 0.75*lg(4/3), checked against the oracl
 
 class TestEntropy:
     def test_uniform(self):
-        assert entropy([1, 1, 1, 1], 4).value == pytest.approx(2.0, abs=1e-12)
+        assert entropy([1, 1, 1, 1], 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert entropy([4], 4).value == 0.0
+        assert entropy([4], 4) == 0.0
 
     def test_quarter_split(self):
-        assert entropy([1, 3], 4).value == pytest.approx(H_1_3, rel=1e-12)
+        assert entropy([1, 3], 4) == pytest.approx(H_1_3, rel=1e-12)
 
     def test_zero_weights_drop_out(self):
-        assert entropy([0, 2, 0, 2], 4).value == pytest.approx(1.0, abs=1e-12)
+        assert entropy([0, 2, 0, 2], 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_total_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -55,8 +55,8 @@ class TestNodePseudoEntropy:
 
 class TestPseudoToEntropy:
     def test_identity_at_full_total(self):
-        assert pseudo_to_entropy(PseudoEntropy(1.0, 4), 4, 4).value == 1.0
-        assert pseudo_to_entropy(PseudoEntropy(0.0, 4), 4, 4).value == 0.0
+        assert pseudo_to_entropy(PseudoEntropy(1.0, 4), 4, 4) == 1.0
+        assert pseudo_to_entropy(PseudoEntropy(0.0, 4), 4, 4) == 0.0
 
     def test_affine_identity_on_half_tree(self):
         # parts (1, 1) of a 4-unit total: pseudo 2 * 0.25*lg4 = 1.0,
@@ -65,7 +65,7 @@ class TestPseudoToEntropy:
             node_pseudo_entropy(1, 4).value + node_pseudo_entropy(1, 4).value, 4
         )
         out = pseudo_to_entropy(p, 4, 2)
-        assert out.value == pytest.approx(entropy([1, 1], 2).value, rel=1e-12)
+        assert out == pytest.approx(entropy([1, 1], 2), rel=1e-12)
 
     def test_bad_subtree_total(self):
         with pytest.raises(ValueError):
@@ -95,8 +95,8 @@ def test_pseudo_entropy_consistent_with_entropy(ws, extra):
     subtree_total = sum(ws)
     total = subtree_total + extra
     p = PseudoEntropy(sum(node_pseudo_entropy(w, total).value for w in ws), total)
-    got = pseudo_to_entropy(p, total, subtree_total).value
-    want = entropy(ws, subtree_total).value
+    got = pseudo_to_entropy(p, total, subtree_total)
+    want = entropy(ws, subtree_total)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
@@ -111,7 +111,7 @@ def test_splitting_never_decreases_entropy(ws, a, b):
     total = sum(split)
     if total <= 0:
         return
-    assert entropy(merged, total).value <= entropy(split, total).value + 1e-9
+    assert entropy(merged, total) <= entropy(split, total) + 1e-9
 
 
 def test_argmax_invariance_on_enumerated_candidates():
@@ -125,7 +125,7 @@ def test_argmax_invariance_on_enumerated_candidates():
     W_full = 12.0
     for k in range(1, 5):
         cands = [t.node_weights() for t in enumerate_all(sub, k)]
-        ents = [entropy(ws, W_sub).value for ws in cands]
+        ents = [entropy(ws, W_sub) for ws in cands]
         pseudos = [
             sum(node_pseudo_entropy(w, W_full).value for w in ws) for ws in cands
         ]
