@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 input or usage error, 2 internal invariant
 violation.  Errors print one machine-parsable line to stderr in the form
 ``error: <category>: <reason>``.
+
+The result JSON is byte for byte what ``json.dump(doc, fh, indent=1)``
+writes; :func:`_write_json` only produces it faster, so the schema and
+the bytes are those of the plain encoder.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import json
 import math
 import sys
 import time
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Optional, Sequence, TextIO
 
 from .approx_solver import solve_approx
 from .exact_solver import solve_exact
@@ -78,7 +83,7 @@ def _result_doc(ct: CanonicalTree, args, trees, entropies, extra: dict) -> dict:
                 {
                     "label": _node_label(tree, i, ct),
                     "kind": nd.kind,
-                    "members": list(nd.members),
+                    "members": nd.members,
                     "weight": nd.weight,
                     "parent": None if nd.parent < 0 else _node_label(tree, nd.parent, ct),
                 }
@@ -88,7 +93,7 @@ def _result_doc(ct: CanonicalTree, args, trees, entropies, extra: dict) -> dict:
             entry["entropy_bits_rounded"] = extra["entropy_bits_rounded"][k - 1]
         results.append(entry)
     doc = {
-        "input_id_map": {ct.ext(v): v for v in range(1, ct.n + 1)},
+        "input_id_map": dict(zip(ct.ext_of_label[1:], range(1, ct.n + 1))),
         "W": ct.W,
         "K": args.K,
         "algorithm": args.algorithm,
@@ -98,6 +103,34 @@ def _result_doc(ct: CanonicalTree, args, trees, entropies, extra: dict) -> dict:
         if key in extra:
             doc[key] = extra[key]
     return doc
+
+
+def _write_json(doc: dict, fh: TextIO) -> None:
+    """Write ``doc`` exactly as ``json.dump(doc, fh, indent=1)`` would.
+
+    ``json.dump`` with an indent encodes everything in pure Python.  Here
+    ``json.dumps`` encodes a skeleton whose ``input_id_map`` (never empty)
+    and node ``members`` are ``null``, and the id map and member lists,
+    the bulk of the output, are spliced in with the C string encoder at
+    the indentation ``indent=1`` gives them.  ``"members": null`` occurs
+    only at a placeholder, because a quote inside a string is escaped.
+    """
+    enc = encode_basestring_ascii
+    skeleton = dict(doc, input_id_map=None)
+    skeleton["results"] = [
+        dict(res, nodes=[dict(nd, members=None) for nd in res["nodes"]]) for res in doc["results"]
+    ]
+    head, body = json.dumps(skeleton, indent=1).split('"input_id_map": null', 1)
+    id_map = doc["input_id_map"]
+    pairs = ",\n  ".join(map("{}: {}".format, map(enc, id_map), id_map.values()))
+    fh.write(f'{head}"input_id_map": {{\n  {pairs}\n }}')
+    pieces = body.split('"members": null')
+    fh.write(pieces[0])
+    members = (nd["members"] for res in doc["results"] for nd in res["nodes"])
+    for ids, piece in zip(members, pieces[1:]):
+        items = ",\n      ".join(map(enc, ids))
+        fh.write(f'"members": [\n      {items}\n     ]' if ids else '"members": []')
+        fh.write(piece)
 
 
 def _solve_parser() -> _Parser:
@@ -110,7 +143,7 @@ def _solve_parser() -> _Parser:
     p.add_argument("-K", type=int, required=True, help="largest summary size; solves all k <= K")
     p.add_argument("--algorithm", choices=("exact", "greedy", "approx"), default="exact")
     p.add_argument("--epsilon", type=float, help="additive entropy slack (approx only)")
-    p.add_argument("--w0-constant", type=float, default=2.0, help="rescaling constant c (approx only)")
+    p.add_argument("--w0-constant", type=float, help="rescaling constant c (approx only; default 2.0)")
     p.add_argument("--output", help="write the result JSON here (default: stdout)")
     p.add_argument("--dot", metavar="PREFIX", help="write PREFIX.k.dot per summary tree")
     p.add_argument("--stats", action="store_true", help="print run statistics JSON to stdout")
@@ -155,6 +188,8 @@ def _run_solve(argv: Sequence[str]) -> int:
     fmt = args.format or ("json" if str(args.input).endswith(".json") else "csv")
     if args.algorithm == "approx" and args.epsilon is None:
         raise _UsageError("--algorithm approx requires --epsilon")
+    if args.algorithm != "approx" and (args.epsilon, args.w0_constant) != (None, None):
+        raise _UsageError("--epsilon and --w0-constant apply only to --algorithm approx")
     if args.epsilon is not None and not 0 < args.epsilon < math.inf:
         raise _UsageError("--epsilon must be positive and finite")
 
@@ -164,14 +199,15 @@ def _run_solve(argv: Sequence[str]) -> int:
     solve_start = time.perf_counter()
     extra: dict = {}
     if args.algorithm == "approx":
-        res = solve_approx(ct, args.K, args.epsilon, args.w0_constant)
+        c = 2.0 if args.w0_constant is None else args.w0_constant
+        res = solve_approx(ct, args.K, args.epsilon, c)
         trees = res.trees
         entropies = res.entropy_bits
         pair_cost = res.pair_cost
         extra = {
             "epsilon": args.epsilon,
             "w0": res.W0,
-            "w0_constant": args.w0_constant,
+            "w0_constant": c,
             "entropy_bits_rounded": res.entropy_bits_rounded,
         }
     else:
@@ -185,10 +221,10 @@ def _run_solve(argv: Sequence[str]) -> int:
     doc = _result_doc(ct, args, trees, entropies, extra)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            _write_json(doc, fh)
             fh.write("\n")
     elif not args.stats:
-        json.dump(doc, sys.stdout, indent=1)
+        _write_json(doc, sys.stdout)
         sys.stdout.write("\n")
     if args.dot:
         for k, tree_k in enumerate(trees, start=1):

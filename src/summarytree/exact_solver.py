@@ -183,7 +183,8 @@ class DPTables:
         self.K = K
         self.mode = mode
         self.chains = chains or {}
-        self.pair_cost = 0
+        # Children a sweep combines at most: the last K-1, or K in greedy mode.
+        self._span = K if mode == "greedy" else K - 1
         W = tree.W
         log2 = math.log2
 
@@ -222,6 +223,10 @@ class DPTables:
         internal = (np.flatnonzero(deg[1:] > 0) + 1)[::-1]
         chains = self.chains
         skip = {node for ch in chains.values() for node, _ in ch.seq[1:]}
+        swept = deg > 0
+        swept[list(chains)] = False
+        swept[list(skip)] = False
+        self.pair_cost = self._pair_cost(swept) if self.K > 1 else 0
         for v in internal:
             v = int(v)
             if chains:
@@ -232,6 +237,26 @@ class DPTables:
                     self._fill_chain_top(ch)
                     continue
             self._fill_node(v)
+
+    def _pair_cost(self, swept: np.ndarray) -> int:
+        """Sum of min(prefix, K) * min(count, K) over prefix-class combining steps.
+
+        ``swept`` marks the nodes whose classes are swept.  A step
+        combines a child at or after the sweep start with the prefix of
+        its earlier siblings, whose descendant count is an exclusive
+        prefix sum over the consecutive child labels; a first child's
+        empty prefix costs nothing.
+        """
+        t = self.tree
+        K = self.K
+        child = np.arange(2, t.n + 1)
+        p = t.parent[child]
+        before = np.cumsum(t.count) - t.count  # count summed over labels < c
+        prefix = before[child] - before[t.first_child[p]]
+        pos = child - t.first_child[p] + 1
+        charged = swept[p] & (pos >= t.degree[p] - self._span + 1)
+        cost = np.minimum(prefix, K) * np.minimum(t.count[child], K)
+        return int(cost[charged].sum())
 
     def _fill_chain_top(self, ch: _Chain) -> None:
         off_v = self.offs[ch.top]
@@ -253,9 +278,8 @@ class DPTables:
         ]
 
     def _sweep_start(self, d: int) -> int:
-        if self.mode == "greedy":
-            return max(1, d - self.K + 1)
-        return max(1, d - self.K + 2)
+        """First child position a sweep combines; earlier children seed it."""
+        return max(1, d - self._span + 1)
 
     def _near_prefix_js(self, d: int) -> range:
         if self.mode == "greedy":
@@ -268,9 +292,8 @@ class DPTables:
         Yields (j, G, steps, base_pos) per class, with j = 0 for the prefix
         class and j > 0 for the near-prefix class whose group holds child
         j; G, steps and base_pos are as returned by ``_sweep_tables``.
-        Without ``only``, sweeps every class in fill mode and charges the
-        prefix sweep's pair cost; with it, sweeps just class ``only`` in
-        record mode.
+        Without ``only``, sweeps every class in fill mode; with it, sweeps
+        just class ``only`` in record mode.
         """
         t = self.tree
         d = int(t.degree[v])
@@ -281,11 +304,7 @@ class DPTables:
         tables = self._child_views(fc, d)
         seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
         record = only is not None
-        if record:
-            js = (only,)
-        else:
-            self.pair_cost += _prefix_charge(counts, a, self.K)
-            js = (0, *self._near_prefix_js(d))
+        js = (only,) if record else (0, *self._near_prefix_js(d))
         for j in js:
             G, steps, base_pos = _sweep_tables(
                 tables,
@@ -431,25 +450,6 @@ class DPTables:
         other = [fc + p - 1 for p in other_pos]
         splits = [(fc + p - 1, kc) for p, kc in splits_pos]
         return other, splits
-
-
-def _prefix_charge(counts: np.ndarray, a: int, K: int) -> int:
-    """Pair-cost terms of one prefix-class sweep over the given child counts."""
-    d = len(counts)
-    if d == 0:
-        return 0
-    if a > 1:
-        pref = int(counts[: a - 1].sum())
-        start = a
-    else:
-        pref = int(counts[0])
-        start = 2
-    total = 0
-    for pos in range(start, d + 1):
-        c = int(counts[pos - 1])
-        total += min(pref, K) * min(c, K)
-        pref += c
-    return total
 
 
 def solve_exact(t: CanonicalTree, K: int) -> DPTables:

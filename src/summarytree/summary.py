@@ -11,11 +11,17 @@ member sets arranged as a tree.  Every summary node is one of
 
 Each summary node has at most one group child, and the parent of every
 non-root summary node is a singleton.
+
+A node's ``members`` are its input nodes' external ids in sorted order,
+as the CLI writes them; :func:`attach_members` builds them for a whole
+tree from preorder intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
 import numpy as np
 
 from .entropy_core import _terms
@@ -56,13 +62,6 @@ class SummaryTree:
 
     def node_weights(self) -> list[float]:
         return [nd.weight for nd in self.nodes]
-
-    def root_group_roots(self) -> tuple[int, ...]:
-        """Grouped child labels of the root's group node, if any (else ())."""
-        for nd in self.nodes:
-            if nd.kind == "group" and nd.parent >= 0 and self.nodes[nd.parent].parent < 0:
-                return nd.child_roots
-        return ()
 
 
 def node_weight(nd: SummaryNode, weight, size):
@@ -183,13 +182,41 @@ def _member_labels(nd: SummaryNode, ct: CanonicalTree) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def member_ids(nd: SummaryNode, ct: CanonicalTree) -> tuple[str, ...]:
-    """Sorted external ids represented by a summary node."""
-    return tuple(sorted(ct.ext(int(v)) for v in _member_labels(nd, ct)))
-
-
 def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
-    """Fill in the ``members`` tuples of every node (in place) and return the tree."""
-    for nd in tree.nodes:
-        nd.members = member_ids(nd, ct)
+    """Fill in the ``members`` tuples of every node (in place) and return the tree.
+
+    Every member set is a union of whole preorder intervals: a singleton
+    is ``[pre_pos[a], +1)``, a subtree ``[pre_pos[a], +count[a])`` and a
+    group one subtree interval per child root.  The intervals of all
+    nodes must tile ``[0, n)``.  Painting each preorder position with its
+    owner and stably sorting the owners in sorted-id order (``id_rank``)
+    yields every node's members already sorted, with one array pass per
+    tree.
+
+    Raises:
+        InvariantError: if the member sets overlap or leave a gap.
+    """
+    nodes = tree.nodes
+    roots = [nd.child_roots if nd.kind == "group" else (nd.anchor,) for nd in nodes]
+    per_node = np.fromiter(map(len, roots), np.int64, len(nodes))
+    root = np.fromiter(chain.from_iterable(roots), np.int64, int(per_node.sum()))
+    owner = np.repeat(np.arange(len(nodes)), per_node)
+    single = np.repeat([nd.kind == "singleton" for nd in nodes], per_node)
+    start = ct.pre_pos[root]
+    length = np.where(single, 1, ct.count[root])
+
+    by_start = np.argsort(start)
+    start, length, owner = start[by_start], length[by_start], owner[by_start]
+    end = start + length
+    if start.size == 0 or start[0] != 0 or end[-1] != ct.n or (start[1:] != end[:-1]).any():
+        raise InvariantError("member sets overlap or leave a gap in the input nodes")
+
+    owner_by_rank = np.empty(ct.n, dtype=np.int64)
+    owner_by_rank[ct.id_rank[ct.preorder]] = np.repeat(owner, length)
+    ids = ct.ids_by_rank[np.argsort(owner_by_rank, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(owner_by_rank, minlength=len(nodes))).tolist()
+    lo = 0
+    for nd, hi in zip(nodes, ends):
+        nd.members = tuple(ids[lo:hi])
+        lo = hi
     return tree

@@ -30,6 +30,7 @@ import copy
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
@@ -301,6 +302,9 @@ class CanonicalTree:
             a contiguous slice: subtree of v is
             ``preorder[pre_pos[v] : pre_pos[v] + count[v]]``.
         ext_of_label: external id of each label (entry 0 is None).
+        id_rank: position of each label's external id in sorted id order
+            (entry 0 unused).  :func:`canonicalize` stores the rank its
+            tie-break used; on other trees it is computed on first use.
     """
 
     def __init__(
@@ -343,6 +347,19 @@ class CanonicalTree:
     def ext(self, v: int) -> str:
         return self.ext_of_label[v]
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        rank = np.zeros(self.n + 1, dtype=np.int64)
+        rank[sorted(range(1, self.n + 1), key=self.ext_of_label.__getitem__)] = np.arange(self.n)
+        return rank
+
+    @cached_property
+    def ids_by_rank(self) -> np.ndarray:
+        """External ids in sorted order, as an object array."""
+        ids = np.empty(self.n, dtype=object)
+        ids[self.id_rank[1:]] = self.ext_of_label[1:]
+        return ids
+
     def with_scaled_weights(self, factor: float) -> "CanonicalTree":
         """Copy with every weight multiplied by ``factor`` (> 0).
 
@@ -362,14 +379,21 @@ def canonicalize(t: Union[InputTree, CanonicalTree]) -> CanonicalTree:
     ties broken by external id, and labels are assigned breadth-first so
     siblings are consecutive and every parent label precedes its
     children's.  Idempotent: canonicalizing a canonical tree reproduces
-    the same labeling.
+    the same labeling.  The id rank behind the tie-break is kept as
+    ``id_rank``, and a canonical input's ``id_rank`` is reused rather
+    than sorted again.
     """
     if isinstance(t, CanonicalTree):
+        rank = t.id_rank[1:]
         # Node i of the rebuilt input is label i + 1; the root's parent 0 becomes -1.
         t = InputTree(tuple(t.ext_of_label[1:]), t.parent[1:] - 1, t.weight[1:].copy(), 0)
-    rank = np.empty(t.n, dtype=np.int64)
-    rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
-    return _canonical(t.parent_idx, t.root, t.weights, rank, t.ids)[0]
+    else:
+        rank = np.empty(t.n, dtype=np.int64)
+        rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
+    tree, label = _canonical(t.parent_idx, t.root, t.weights, rank, t.ids)
+    tree.id_rank = np.zeros(t.n + 1, dtype=np.int64)
+    tree.id_rank[label] = rank
+    return tree
 
 
 def read_csv(path) -> InputTree:

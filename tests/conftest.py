@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from summarytree import CanonicalTree, build_tree, canonicalize
+from summarytree import CanonicalTree, SummaryTree, build_tree, canonicalize
 
 settings.register_profile(
     "suite",
@@ -16,6 +16,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def root_group_roots(s: SummaryTree) -> tuple[int, ...]:
+    """Grouped child labels of the root's group node, if any (else ())."""
+    for nd in s.nodes:
+        if nd.kind == "group" and nd.parent >= 0 and s.nodes[nd.parent].parent < 0:
+            return nd.child_roots
+    return ()
 
 
 def make_tree(records) -> CanonicalTree:

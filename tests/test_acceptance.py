@@ -24,7 +24,7 @@ from summarytree import (
     solve_exact,
     solve_greedy,
 )
-from tests.conftest import make_tree, path_tree
+from tests.conftest import make_tree, path_tree, root_group_roots
 
 # entropy sequences collected by earlier criteria, checked in criterion 8
 _COLLECTED: dict[str, list[list[float]]] = {"exact": [], "greedy": [], "approx": []}
@@ -82,8 +82,8 @@ def test_criterion_2_greedy_gap_instance():
     gr = solve_greedy(t, 4)
     e_exact = ex.entropy_bits(4)
     e_greedy = gr.entropy_bits(4)
-    exact_roots = sorted(t.ext(c) for c in ex.reconstruct(4).root_group_roots())
-    greedy_roots = sorted(t.ext(c) for c in gr.reconstruct(4).root_group_roots())
+    exact_roots = sorted(t.ext(c) for c in root_group_roots(ex.reconstruct(4)))
+    greedy_roots = sorted(t.ext(c) for c in root_group_roots(gr.reconstruct(4)))
     oracle = brute_force_opt(t, 4)
     ok = (
         abs(e_exact - 1.5) <= 0.1

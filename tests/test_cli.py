@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,13 @@ from summarytree import canonicalize, read_csv, solve_exact, validate_summary_tr
 from summarytree.cli import emit_dot, run
 from summarytree.summary import InvariantError, SummaryNode, SummaryTree
 from tests.conftest import path_tree
+
+GOLDEN = Path(__file__).with_name("golden")
+# Golden inputs and their K: odd ids (non-ASCII, astral, quote, backslash,
+# control characters, "10"/"9", and ids that spell "members": null), a
+# tie-heavy integer-weight tree, and a zero-weight chain that approx pads.
+GOLDEN_K = {"odd_ids": 8, "ties": 8, "zero_chain": 17}
+ALGORITHMS = {"exact": [], "greedy": [], "approx": ["--epsilon", "0.2"]}
 
 
 @pytest.fixture
@@ -173,6 +181,18 @@ class TestErrors:
         assert err.startswith("error: input: epsilon=3e-14 needs W0=6256270777026926")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("algorithm", ["exact", "greedy"])
+    @pytest.mark.parametrize("flag", [["--epsilon", "0.1"], ["--w0-constant", "5"]])
+    def test_approx_flags_rejected_for_other_algorithms(self, csv_tree, capsys, algorithm, flag):
+        rc = run(["--input", str(csv_tree), "-K", "2", "--algorithm", algorithm, *flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    def test_approx_w0_constant_defaults_to_2(self, csv_tree, capsys):
+        assert run(["--input", str(csv_tree), "-K", "2", "--algorithm", "approx", "--epsilon", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["w0_constant"] == 2.0
+
     def test_invariant_violation_exits_2(self, csv_tree, capsys, monkeypatch):
         import summarytree.cli as cli
 
@@ -243,3 +263,39 @@ class TestGenCommand:
         run(["gen", "--nodes", "30", "--seed", "1", "--output", str(p1)])
         run(["gen", "--nodes", "30", "--seed", "2", "--output", str(p2)])
         assert p1.read_bytes() != p2.read_bytes()
+
+
+def _golden_argv(name: str, algorithm: str) -> list:
+    argv = ["--input", str(GOLDEN / f"{name}.csv"), "-K", str(GOLDEN_K[name])]
+    return argv + ["--algorithm", algorithm, *ALGORITHMS[algorithm]]
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_writer_matches_json_dumps(algorithm, tmp_path, capsys, monkeypatch):
+    import summarytree.cli as cli
+
+    result_doc = cli._result_doc
+    docs = []
+    monkeypatch.setattr(cli, "_result_doc", lambda *args: docs.append(result_doc(*args)) or docs[-1])
+    out = tmp_path / "out.json"
+    argv = _golden_argv("odd_ids", algorithm)
+    assert run(argv + ["--output", str(out)]) == 0
+    assert run(argv) == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(docs[0], indent=1) + "\n"
+    assert capsys.readouterr().out == json.dumps(docs[1], indent=1) + "\n"
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_K))
+def test_golden_output(name, algorithm, tmp_path, capsysbinary):
+    """CLI JSON and DOT bytes equal the committed outputs of the plain json.dump writer."""
+    out = tmp_path / "out.json"
+    argv = _golden_argv(name, algorithm)
+    assert run(argv + ["--output", str(out), "--dot", str(tmp_path / "viz")]) == 0
+    want = (GOLDEN / f"{name}.{algorithm}.json").read_bytes()
+    assert out.read_bytes() == want
+    dots = b"".join((tmp_path / f"viz.{k}.dot").read_bytes() for k in range(1, GOLDEN_K[name] + 1))
+    assert dots == (GOLDEN / f"{name}.{algorithm}.dot").read_bytes()
+    capsysbinary.readouterr()
+    assert run(argv) == 0
+    assert capsysbinary.readouterr().out == want

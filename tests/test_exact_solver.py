@@ -7,14 +7,47 @@ from hypothesis import given, settings
 from summarytree import (
     brute_force_opt,
     canonicalize,
+    from_arrays,
     node_pseudo_entropy,
     random_tree,
+    solve_approx,
     solve_exact,
+    solve_greedy,
     validate_summary_tree,
 )
-from tests.conftest import make_tree, path_tree, star_tree, tree_records
+from tests.conftest import make_tree, path_tree, root_group_roots, star_tree, tree_records
 
 H_1_3 = 0.8112781244591328
+
+
+def reference_pair_cost(tables) -> int:
+    """Pair cost as the per-node loop charged it during the fill.
+
+    Every internal node the fill sweeps (not a chain top or interior,
+    and only when K > 1) pays min(prefix, K) * min(count, K) for each
+    prefix-class combining step, where prefix is the descendant count of
+    the children before the combined one.
+    """
+    t, K = tables.tree, tables.K
+    if K == 1:
+        return 0
+    chained = {v for ch in tables.chains.values() for v, _ in ch.seq}
+    total = 0
+    for v in range(1, t.n + 1):
+        d = int(t.degree[v])
+        if d == 0 or v in chained:
+            continue
+        counts = [int(t.count[c]) for c in t.children(v)]
+        a = max(1, d - K + (1 if tables.mode == "greedy" else 2))
+        if a > 1:
+            pref, start = sum(counts[: a - 1]), a
+        else:
+            pref, start = counts[0], 2
+        for pos in range(start, d + 1):
+            c = counts[pos - 1]
+            total += min(pref, K) * min(c, K)
+            pref += c
+    return total
 
 
 class TestSmallInstances:
@@ -98,7 +131,7 @@ class TestSweeps:
         # prefix class (first two children) is taken before near-prefix j=3.
         t = star_tree(1, [1, 1, 1])
         s = solve_exact(t, 3).reconstruct(3)
-        assert s.root_group_roots() == (2, 3)
+        assert root_group_roots(s) == (2, 3)
 
     def test_p4_prefix_sweep_matches_oracle(self):
         # On paths the prefix class alone is exact for every k.
@@ -238,6 +271,27 @@ class TestProperties:
             t = canonicalize(random_tree(n, weights="uniform", seed=rng))
             tb = solve_exact(t, K)
             assert tb.pair_cost <= 2 * K * n
+
+    def test_pair_cost_matches_per_node_reference(self):
+        rng = np.random.default_rng(31)
+        chains = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 120))
+            K = int(rng.integers(1, 14))
+            shape = ("uniform", "fixed-degree")[int(rng.integers(0, 2))]
+            t = canonicalize(
+                random_tree(n, shape=shape, degree=int(rng.integers(2, 20)), seed=rng)
+            )
+            for solver in (solve_exact, solve_greedy):
+                tb = solver(t, K)
+                assert tb.pair_cost == reference_pair_cost(tb)
+            parents = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+            weights = np.where(rng.random(n) < 0.9, 0.0, rng.integers(1, 4, n))
+            weights[0] += 1.0
+            tb = solve_approx(canonicalize(from_arrays(parents, weights)), K, 0.5).tables
+            assert tb.pair_cost == reference_pair_cost(tb)
+            chains += len(tb.chains)
+        assert chains > 50
 
     def test_zero_weight_nodes_allowed(self):
         t = make_tree([("r", None, 0), ("a", "r", 0), ("b", "r", 2), ("c", "b", 2)])
