@@ -20,12 +20,7 @@ from .approx_solver import (
     rescale,
     solve_approx,
 )
-from .entropy_core import (
-    PseudoEntropy,
-    entropy,
-    node_pseudo_entropy,
-    pseudo_to_entropy,
-)
+from .entropy_core import entropy
 from .exact_solver import DPTables, solve_exact
 from .generate import random_tree
 from .greedy_solver import solve_greedy
@@ -51,7 +46,6 @@ __all__ = [
     "DPTables",
     "InputTree",
     "InvariantError",
-    "PseudoEntropy",
     "ReducedTree",
     "RoundedTree",
     "SummaryNode",
@@ -66,8 +60,6 @@ __all__ = [
     "entropy",
     "enumerate_all",
     "from_arrays",
-    "node_pseudo_entropy",
-    "pseudo_to_entropy",
     "random_tree",
     "read_csv",
     "read_json",

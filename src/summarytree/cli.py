@@ -47,12 +47,18 @@ def _node_label(tree: SummaryTree, idx: int, ct: CanonicalTree) -> str:
     return ct.ext(nd.anchor)
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
     """Render one summary tree as a Graphviz digraph.
 
     Node labels show the representative id (or ``other (m)`` for a group
     of m members) plus the node weight; nodes and edges are emitted in
-    sorted order so output is deterministic.
+    sorted order so output is deterministic.  Ids and labels are quoted
+    DOT strings, with backslashes, quotes and newlines escaped.
     """
     idents = []
     for i, nd in enumerate(s.nodes):
@@ -64,11 +70,11 @@ def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
         idents.append((ident, text))
     lines = ["digraph summary {"]
     for ident, text in sorted(idents):
-        lines.append(f'  "{ident}" [label="{text}"];')
+        lines.append(f"  {_dot_quote(ident)} [label={_dot_quote(text)}];")
     edges = []
     for i, nd in enumerate(s.nodes):
         if nd.parent >= 0:
-            edges.append(f'  "{idents[nd.parent][0]}" -> "{idents[i][0]}";')
+            edges.append(f"  {_dot_quote(idents[nd.parent][0])} -> {_dot_quote(idents[i][0])};")
     lines.extend(sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

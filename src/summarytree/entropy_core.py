@@ -17,32 +17,11 @@ two quantities are related by the affine identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "PseudoEntropy",
-    "entropy",
-    "node_pseudo_entropy",
-    "pseudo_to_entropy",
-]
-
-#: relative tolerance used when validating that weights sum to the stated total
-SUM_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PseudoEntropy:
-    """Entropy-like contribution normalized by a fixed reference total.
-
-    ``value`` is ``-(w/total) * lg(w/total)`` summed over the node weights
-    it covers; contributions with the same ``total`` add.
-    """
-
-    value: float
-    total: float
+__all__ = ["entropy"]
 
 
 def _term(weight: float, total: float) -> float:
@@ -80,41 +59,6 @@ def entropy(weights: Sequence[float], total: float) -> float:
     if w.size and float(w.min()) < 0.0:
         raise ValueError("weights must be nonnegative")
     s = float(w.sum())
-    if abs(s - total) > SUM_REL_TOL * max(abs(total), abs(s)):
+    if abs(s - total) > 1e-9 * max(abs(total), abs(s)):
         raise ValueError(f"weights sum to {s!r}, expected total {total!r}")
     return float(_terms(w, total).sum())
-
-
-def node_pseudo_entropy(weight: float, total: float) -> PseudoEntropy:
-    """Pseudo-entropy contribution of a single node of the given weight.
-
-    Raises:
-        ValueError: nonpositive total, weight < 0, or weight > total.
-    """
-    if total <= 0.0:
-        raise ValueError(f"total must be positive, got {total!r}")
-    if weight < 0.0:
-        raise ValueError("weight must be nonnegative")
-    if weight > total:
-        raise ValueError(f"weight {weight!r} exceeds reference total {total!r}")
-    return PseudoEntropy(_term(weight, total), total)
-
-
-def pseudo_to_entropy(p: PseudoEntropy, total: float, subtree_total: float) -> float:
-    """Convert a subtree's pseudo-entropy into its ordinary entropy.
-
-    ``total`` is the reference total the pseudo-entropy was computed
-    against and ``subtree_total`` is the weight of the subtree itself.
-    When the two coincide the value is returned unchanged.
-
-    Raises:
-        ValueError: nonpositive ``subtree_total`` or ``subtree_total > total``.
-    """
-    if subtree_total <= 0.0:
-        raise ValueError(f"subtree total must be positive, got {subtree_total!r}")
-    if subtree_total > total:
-        raise ValueError("subtree total exceeds the reference total")
-    if subtree_total == total:
-        return p.value
-    ratio = total / subtree_total
-    return ratio * p.value - math.log2(ratio)

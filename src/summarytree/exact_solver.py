@@ -18,14 +18,17 @@ candidate class:
 * one near-prefix class per feasible j, whose group absorbs child j
   plus some prefix ending below j.
 
-Each class is swept incrementally: extending a forest table over the
-first l subtrees to cover subtree l+1 is a max-plus combination of two
-small tables, plus a fresh "absorb everything so far" entry at forest
-size 1.  Children v_1 .. v_{d_v - K + 1} can never be split off within a
-K-node budget, so they are absorbed into the sweep's seed unprocessed;
-this, together with the table caps at K-1, is what keeps the total
-sweep cost within the 2Kn pair-cost budget that ``DPTables.pair_cost``
-tracks.
+All classes of a node are swept together, as the rows of one table
+padded with -inf: extending the forest tables over the first l subtrees
+to cover subtree l+1 is one max-plus combination of every row with that
+subtree's table, plus a fresh "absorb everything so far" entry at forest
+size 1 in each row.  A near-prefix row idles at child j, which its seed
+already holds.  Each row adds its weights and forms its entries exactly
+as a sweep of its class alone would, so stacking changes no value.
+Children v_1 .. v_{d_v - K + 1} can never be split off within a K-node
+budget, so they are absorbed into every seed unprocessed; this, together
+with the table caps at K-1, is what keeps the prefix-class sweep cost
+within the 2Kn pair-cost budget that ``DPTables.pair_cost`` tracks.
 
 Ties are broken deterministically: prefix class first, then near-prefix
 classes by increasing j, then the smallest left-table split inside a
@@ -43,13 +46,12 @@ entropy and the members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .entropy_core import _terms
+from .entropy_core import _term, _terms
 from .summary import InvariantError, SummaryNode, SummaryTree, attach_members, node_weight
 from .tree_model import CanonicalTree
 
@@ -72,86 +74,6 @@ class _Chain:
     l: int
     lprime: int
     seq: tuple[tuple[int, int], ...]
-
-
-def _skew_maxplus(G: np.ndarray, B: np.ndarray, want_arg: bool):
-    """Max-plus combination out[t-2] = max_h G[h-1] + B[t-h-1], t = 2..len(G)+len(B).
-
-    Returns (out, arg) where arg[t-2] = h-1 for the smallest maximizing h
-    (``arg`` is None unless ``want_arg``).
-    """
-    lg = G.shape[0]
-    lb = B.shape[0]
-    if lb == 1:
-        out = G + B[0]
-        return out, (np.arange(lg, dtype=np.int64) if want_arg else None)
-    if lg == 1:
-        out = G[0] + B
-        return out, (np.zeros(lb, dtype=np.int64) if want_arg else None)
-    M = np.add.outer(G, B)
-    P = np.full((lg, lg + lb), NEG_INF)
-    P[:, :lb] = M
-    S = P.ravel()[:-lg].reshape(lg, lg + lb - 1)
-    out = S.max(axis=0)
-    arg = S.argmax(axis=0) if want_arg else None
-    return out, arg
-
-
-def _sweep_tables(
-    tables: list[np.ndarray],
-    sizes: np.ndarray,
-    counts: np.ndarray,
-    pent,
-    K: int,
-    seed_weight: float,
-    seed_nonempty: bool,
-    start_pos: int,
-    skip: int,
-    record: bool,
-):
-    """Forest-table sweep shared by all candidate classes.
-
-    ``tables[i]`` holds the best pseudo-entropies of summary trees of the
-    (i+1)-th swept subtree, truncated to forest-feasible sizes.  Children
-    before ``start_pos`` (and child ``skip``, when nonzero) are already in
-    the seed, whose total weight is ``seed_weight``.
-
-    Returns (G, steps, base_pos): G[t-1] is the best t-node forest;
-    ``steps`` (recording mode only) holds (position, argmax rows) per
-    combining step; ``base_pos`` is the position whose table seeded the
-    sweep when the seed was empty, else 0.
-    """
-    d = len(tables)
-    steps = [] if record else None
-    if seed_nonempty:
-        G = np.array([pent(seed_weight)])
-        cum = seed_weight
-        avail = 1
-        pos_iter = range(start_pos, d + 1)
-        base_pos = 0
-    else:
-        G = tables[0]
-        cum = float(sizes[0])
-        avail = int(counts[0])
-        pos_iter = range(2, d + 1)
-        base_pos = 1
-    for pos in pos_iter:
-        if pos == skip:
-            continue
-        B = tables[pos - 1]
-        out, arg = _skew_maxplus(G, B, record)
-        c = int(counts[pos - 1])
-        new_avail = min(K - 1, avail + c)
-        cum += float(sizes[pos - 1])
-        newG = np.empty(new_avail)
-        newG[0] = pent(cum)
-        if new_avail > 1:
-            newG[1:] = out[: new_avail - 1]
-        if record:
-            steps.append((pos, arg))
-        G = newG
-        avail += c
-    return G, steps, base_pos
 
 
 class DPTables:
@@ -185,16 +107,7 @@ class DPTables:
         self.chains = chains or {}
         # Children a sweep combines at most: the last K-1, or K in greedy mode.
         self._span = K if mode == "greedy" else K - 1
-        W = tree.W
-        log2 = math.log2
-
-        def pent(x: float) -> float:
-            if x <= 0.0:
-                return 0.0
-            p = x / W
-            return -p * log2(p)
-
-        self._pent = pent
+        self._W = tree.W
         n = tree.n
         caps = np.minimum(K, tree.count).astype(np.int64)
         caps[0] = 0
@@ -202,6 +115,8 @@ class DPTables:
         offs[1:] = np.cumsum(caps[1:]) - caps[1:]
         self.caps = caps
         self.offs = offs
+        # A child's table as its parent's sweep reads it: sizes up to K-1.
+        self._view_end = offs + np.minimum(K - 1, caps)
         self.max_k = int(caps[1])
         self.F = np.empty(int(caps.sum()), dtype=np.float64)
         # Candidate class that attains each F entry: 0 for the prefix
@@ -209,8 +124,8 @@ class DPTables:
         self.win = np.zeros(self.F.shape[0], dtype=np.int32)
         self.pw = np.zeros(n + 1)
         self.ps = np.zeros(n + 1)
-        self.pw[1:] = _terms(tree.weight[1:], W)
-        self.ps[1:] = _terms(tree.size[1:], W)
+        self.pw[1:] = _terms(tree.weight[1:], tree.W)
+        self.ps[1:] = _terms(tree.size[1:], tree.W)
         self._solve()
 
     # -- solving ---------------------------------------------------------- #
@@ -269,56 +184,96 @@ class DPTables:
             self.F[off_v + s : off_v + cap_v] = self.F[off_u : off_u + cap_v - s]
 
     def _child_views(self, fc: int, d: int):
-        K1 = self.K - 1
-        offs = self.offs
-        caps = self.caps
         F = self.F
-        return [
-            F[offs[c] : offs[c] + min(K1, caps[c])] for c in range(fc, fc + d)
-        ]
+        ends = self._view_end[fc : fc + d].tolist()
+        return [F[o:e] for o, e in zip(self.offs[fc : fc + d].tolist(), ends)]
 
     def _sweep_start(self, d: int) -> int:
         """First child position a sweep combines; earlier children seed it."""
         return max(1, d - self._span + 1)
 
-    def _near_prefix_js(self, d: int) -> range:
+    def _fill_classes(self, d: int) -> tuple[int, ...]:
+        """Classes the fill sweeps: the prefix class, then near-prefix j ascending."""
         if self.mode == "greedy":
-            return range(0)
-        return range(max(3, d - self.K + 3), d + 1)
+            return (0,)
+        return (0, *range(max(3, d - self.K + 3), d + 1))
 
-    def _classes(self, v: int, only: Optional[int] = None):
-        """Sweep the candidate classes at internal node v, prefix class first.
+    def _sweep(self, v: int, js: tuple[int, ...], record: bool = False):
+        """Sweep the candidate classes ``js`` of internal node v together.
 
-        Yields (j, G, steps, base_pos) per class, with j = 0 for the prefix
-        class and j > 0 for the near-prefix class whose group holds child
-        j; G, steps and base_pos are as returned by ``_sweep_tables``.
-        Without ``only``, sweeps every class in fill mode; with it, sweeps
-        just class ``only`` in record mode.
+        ``js[r]`` names row r's class: 0 for the prefix class, j > 0 for
+        the near-prefix class whose group holds child j.  The rows of G,
+        padded with -inf, are the classes' forest tables: G[r, t-1] is
+        the best t-node forest of class ``js[r]``.  Each child position
+        advances every row with one max-plus combination and a fresh
+        "absorb everything so far" entry at forest size 1, except the row
+        that already holds that child, which idles there.
+
+        Returns (G, steps, base_pos).  With ``record`` (a single class),
+        ``steps`` holds (position, arg) per combining step, where
+        arg[t-2] + 1 is the smallest left forest size h maximizing the
+        t-node forest; ``base_pos`` is 1 when the prefix row starts from
+        child 1's table (empty seed), else 0.
         """
         t = self.tree
+        W = self._W
+        K1 = self.K - 1
         d = int(t.degree[v])
         fc = int(t.first_child[v])
         sizes = t.size[fc : fc + d]
-        counts = t.count[fc : fc + d]
-        a = self._sweep_start(d)
         tables = self._child_views(fc, d)
+        a = self._sweep_start(d)
         seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
-        record = only is not None
-        js = (only,) if record else (0, *self._near_prefix_js(d))
-        for j in js:
-            G, steps, base_pos = _sweep_tables(
-                tables,
-                sizes,
-                counts,
-                self._pent,
-                self.K,
-                seed + float(sizes[j - 1]) if j else seed,
-                a > 1 or j > 0,
-                a,
-                j,
-                record,
-            )
-            yield j, G, steps, base_pos
+        R = len(js)
+        skips = list(js)  # row r idles at child position skips[r]
+        cum = [seed + float(sizes[j - 1]) if j else seed for j in js]
+        base_pos = int(a == 1 and js[0] == 0)  # the prefix row starts from child 1's table
+        if base_pos:
+            skips[0] = 1
+            cum[0] = float(sizes[0])
+        if base_pos and R == 1:
+            G = tables[0][None]  # a lone row needs no padded copy
+        else:
+            G = np.full((R, tables[0].shape[0] if base_pos else 1), NEG_INF)
+            G[:, 0] = [_term(x, W) for x in cum]
+            if base_pos:
+                G[0] = tables[0]
+        steps = [] if record else None
+        for pos in range(a, d + 1):
+            idle = skips.index(pos) if pos in skips else -1
+            if idle >= 0 and R == 1:
+                continue
+            B = tables[pos - 1]
+            lg = G.shape[1]
+            lb = B.shape[0]
+            w = min(K1, lg + lb)
+            newG = np.empty((R, w))
+            # newG[r, t-1] = max_h G[r, h-1] + B[t-h-1]; arg keeps the smallest h.
+            if lb == 1:
+                np.add(G[:, : w - 1], B[0], out=newG[:, 1:])
+                arg = np.arange(lg) if record else None
+            elif lg == 1:
+                np.add(G, B[: w - 1], out=newG[:, 1:])
+                arg = np.zeros(lb, dtype=np.int64) if record else None
+            else:
+                P = np.empty((R, lg, lg + lb))
+                P[..., lb:] = NEG_INF
+                np.add.outer(G, B, out=P[..., :lb])
+                S = P.reshape(R, -1)[:, :-lg].reshape(R, lg, lg + lb - 1)[..., : w - 1]
+                S.max(axis=1, out=newG[:, 1:])
+                arg = S[0].argmax(axis=0) if record else None
+            if record:
+                steps.append((pos, arg))
+            s = float(sizes[pos - 1])
+            for r in range(R):
+                if r != idle:
+                    cum[r] += s
+                    newG[r, 0] = _term(cum[r], W)
+            if idle >= 0:
+                newG[idle, :lg] = G[idle]
+                newG[idle, lg:] = NEG_INF
+            G = newG
+        return G, steps, base_pos
 
     def _fill_node(self, v: int) -> None:
         off_v = self.offs[v]
@@ -326,15 +281,15 @@ class DPTables:
         self.F[off_v] = self.ps[v]
         if cap_v == 1:
             return
-        classes = self._classes(v)
-        _, best, _, _ = next(classes)
-        for j, G, _, _ in classes:
-            m = min(G.shape[0], best.shape[0])
-            gt = G[:m] > best[:m]
-            if np.count_nonzero(gt):  # rare: near-prefix classes seldom win
-                np.copyto(best[:m], G[:m], where=gt)
-                self.win[off_v + 1 : off_v + 1 + m][gt] = j
-        self.F[off_v + 1 : off_v + cap_v] = self.pw[v] + best[: cap_v - 1]
+        js = self._fill_classes(int(self.tree.degree[v]))
+        G = self._sweep(v, js)[0]
+        best = G[0, : cap_v - 1]
+        if len(js) > 1:
+            G = G[:, : cap_v - 1]
+            # The first row attaining a column's max wins: prefix, then increasing j.
+            self.win[off_v + 1 : off_v + cap_v] = np.array(js)[G.argmax(axis=0)]
+            best = G.max(axis=0)
+        self.F[off_v + 1 : off_v + cap_v] = self.pw[v] + best
 
     # -- reconstruction --------------------------------------------------- #
 
@@ -420,8 +375,8 @@ class DPTables:
         fc = int(t.first_child[v])
         kf = kk - 1
         j = int(self.win[self.offs[v] + kf])
-        _, G, steps, base_pos = next(self._classes(v, only=j))
-        got = self.pw[v] + (G[kf - 1] if kf <= G.shape[0] else NEG_INF)
+        G, steps, base_pos = self._sweep(v, (j,), record=True)
+        got = self.pw[v] + (G[0, kf - 1] if kf <= G.shape[1] else NEG_INF)
         want = self.value(v, kk)
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise InvariantError(

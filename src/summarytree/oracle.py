@@ -15,13 +15,13 @@ appear exactly once.  An independent generating-polynomial counter
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .entropy_core import _term
 from .summary import SummaryNode, SummaryTree, attach_members
 from .tree_model import CanonicalTree
 
@@ -164,9 +164,7 @@ def _to_summary_tree(t: CanonicalTree, recs: tuple[_Rec, ...]) -> SummaryTree:
     W = t.W
     ent = 0.0
     for w in weights:
-        if w > 0.0:
-            p = w / W
-            ent -= p * math.log2(p)
+        ent += _term(w, W)
     nodes = [
         SummaryNode(kind, anchor, par, w, (), tuple(sorted(roots)))
         for (kind, par, anchor, roots), w in zip(recs, weights)
@@ -197,7 +195,6 @@ def brute_force_opt(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> BruteFo
     _check_cap(t, cap)
     enum = _Enumerator(t)
     W = t.W
-    log2 = math.log2
     best = -1.0
     best_recs: Optional[tuple[_Rec, ...]] = None
     best_np = -1.0
@@ -205,10 +202,7 @@ def brute_force_opt(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> BruteFo
     for recs, ok_p, ok_np in enum.trees(1, k):
         ent = 0.0
         for r in recs:
-            w = _node_weight(t, r)
-            if w > 0.0:
-                p = w / W
-                ent -= p * log2(p)
+            ent += _term(_node_weight(t, r), W)
         if ent > best:
             best = ent
             best_recs = recs

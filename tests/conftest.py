@@ -97,6 +97,28 @@ def tree_records(draw, max_n: int = 20, integer_weights: bool = False):
     return recs
 
 
+# Weights at the ends of float64: the smallest subnormal, other subnormals,
+# the smallest normal, 1e300 and values between.  Over a total near 1e300
+# the subnormal ones underflow to p = 0.
+EXTREME_WEIGHTS = (0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0, 3.0, 1e150, 1e300)
+
+
+@st.composite
+def extreme_tree_records(draw, max_n: int = 10):
+    """Tree records whose weights are subnormal, up to 1e300, or mostly zero."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    ws = draw(st.lists(st.sampled_from(EXTREME_WEIGHTS), min_size=n, max_size=n))
+    if draw(st.booleans()):  # mostly zero: keep one or two weights
+        keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+        ws = [w if i in keep else 0.0 for i, w in enumerate(ws)]
+    if sum(ws) <= 0:
+        ws[draw(st.integers(0, n - 1))] = draw(st.sampled_from(EXTREME_WEIGHTS[1:]))
+    return [
+        (f"n{i:03d}", None if i == 0 else f"n{parents[i - 1]:03d}", ws[i]) for i in range(n)
+    ]
+
+
 def assert_canonical(t: CanonicalTree) -> None:
     """Check the labelling invariants every canonical tree promises."""
     n = t.n

@@ -1,14 +1,21 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from summarytree import canonicalize, read_csv, solve_exact, validate_summary_tree
+from summarytree import (
+    brute_force_opt,
+    canonicalize,
+    read_csv,
+    solve_exact,
+    validate_summary_tree,
+)
 from summarytree.cli import emit_dot, run
 from summarytree.summary import InvariantError, SummaryNode, SummaryTree
-from tests.conftest import path_tree
+from tests.conftest import make_tree, path_tree
 
 GOLDEN = Path(__file__).with_name("golden")
 # Golden inputs and their K: odd ids (non-ASCII, astral, quote, backslash,
@@ -16,6 +23,9 @@ GOLDEN = Path(__file__).with_name("golden")
 # tie-heavy integer-weight tree, and a zero-weight chain that approx pads.
 GOLDEN_K = {"odd_ids": 8, "ties": 8, "zero_chain": 17}
 ALGORITHMS = {"exact": [], "greedy": [], "approx": ["--epsilon", "0.2"]}
+# A DOT quoted string: no raw quote, backslash or newline, except escaped.
+DOT_STRING = r'"(?:[^"\\\n]|\\.)*"'
+DOT_LINE = re.compile(rf"  {DOT_STRING} \[label={DOT_STRING}\];|  {DOT_STRING} -> {DOT_STRING};")
 
 
 @pytest.fixture
@@ -124,6 +134,17 @@ class TestDotOutput:
         assert "other (4)" in dot  # group {v1, v3} plus descendants
 
 
+    def test_ids_are_escaped(self):
+        ids = ['q"uote', "back\\slash", "nl\nx"]
+        t = make_tree([("r", None, 1)] + [(x, "r", i + 2) for i, x in enumerate(ids)])
+        dot = emit_dot(solve_exact(t, t.n).reconstruct(t.n), t)
+        lines = dot.split("\n")
+        assert lines[0] == "digraph summary {" and lines[-2:] == ["}", ""]
+        assert all(DOT_LINE.fullmatch(line) for line in lines[1:-2])
+        for quoted in (r'"q\"uote"', r'"back\\slash"', r'"nl\nx"'):
+            assert f"  {quoted} [label={quoted[:-1]} (" in dot
+
+
 class TestErrors:
     def test_approx_without_epsilon_is_usage_error(self, csv_tree, capsys):
         rc = run(["--input", str(csv_tree), "-K", "2", "--algorithm", "approx"])
@@ -202,6 +223,24 @@ class TestErrors:
         monkeypatch.setattr(cli, "solve_exact", broken)
         assert run(["--input", str(csv_tree), "-K", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: invariant:")
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "greedy"])
+def test_underflowing_weight_ratio(algorithm, tmp_path, capsys):
+    # Each tiny leaf's share of the 1e300 total underflows to zero.
+    src = tmp_path / "tiny.csv"
+    rows = "".join(f"{x},r,5e-324\n" for x in "abcd")
+    src.write_text(f"id,parent,weight\nr,,1e300\n{rows}e,r,1.0\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert run(["--input", str(src), "-K", "2", "--algorithm", algorithm, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    t = canonicalize(read_csv(src))
+    results = json.loads(out.read_text())["results"]
+    assert [res["k"] for res in results] == [1, 2]
+    for res in results:
+        r = brute_force_opt(t, res["k"])
+        want = r.best if algorithm == "exact" else r.prefix_max
+        assert res["entropy_bits"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _summary_from_result(res: dict, doc: dict, ct) -> SummaryTree:
@@ -299,3 +338,12 @@ def test_golden_output(name, algorithm, tmp_path, capsysbinary):
     capsysbinary.readouterr()
     assert run(argv) == 0
     assert capsysbinary.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_K))
+def test_golden_dot_is_escaped(name):
+    for algorithm in ALGORITHMS:
+        lines = (GOLDEN / f"{name}.{algorithm}.dot").read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == ""
+        for line in lines[:-1]:
+            assert line in ("digraph summary {", "}") or DOT_LINE.fullmatch(line), line

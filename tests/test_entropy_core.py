@@ -1,9 +1,50 @@
+import math
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from summarytree import entropy, node_pseudo_entropy, pseudo_to_entropy
-from summarytree.entropy_core import PseudoEntropy
+from summarytree import entropy
+from summarytree.entropy_core import _term
+
+
+# Reference pseudo-entropy arithmetic.  The solvers only use the scalar
+# term ``-p lg p`` against the whole tree's total; these helpers state the
+# identities that make that compositional, so the tests below can check them.
+
+
+@dataclass(frozen=True)
+class PseudoEntropy:
+    """Sum of ``-(w/total) lg(w/total)`` over some node weights, with its total."""
+
+    value: float
+    total: float
+
+
+def node_pseudo_entropy(weight: float, total: float) -> PseudoEntropy:
+    """Pseudo-entropy contribution of one node of the given weight."""
+    if total <= 0.0:
+        raise ValueError(f"total must be positive, got {total!r}")
+    if weight < 0.0:
+        raise ValueError("weight must be nonnegative")
+    if weight > total:
+        raise ValueError(f"weight {weight!r} exceeds reference total {total!r}")
+    p = weight / total
+    return PseudoEntropy(-p * math.log2(p) + 0.0 if p > 0.0 else 0.0, total)
+
+
+def pseudo_to_entropy(p: PseudoEntropy, total: float, subtree_total: float) -> float:
+    """Entropy of a subtree from its pseudo-entropy: the affine identity."""
+    if subtree_total <= 0.0:
+        raise ValueError(f"subtree total must be positive, got {subtree_total!r}")
+    if subtree_total > total:
+        raise ValueError("subtree total exceeds the reference total")
+    if subtree_total == total:
+        return p.value
+    ratio = total / subtree_total
+    return ratio * p.value - math.log2(ratio)
+
 
 H_1_3 = 0.8112781244591328  # 0.25*lg4 + 0.75*lg(4/3), checked against the oracle
 
@@ -98,6 +139,14 @@ def test_pseudo_entropy_consistent_with_entropy(ws, extra):
     got = pseudo_to_entropy(p, total, subtree_total)
     want = entropy(ws, subtree_total)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(positive_weight_lists, st.floats(1.0, 1e6))
+def test_dp_term_is_the_reference_pseudo_entropy(ws, extra):
+    """The scalar term the DP adds up is the reference single-node pseudo-entropy."""
+    total = sum(ws) + extra
+    for w in ws:
+        assert _term(w, total) == node_pseudo_entropy(w, total).value
 
 
 @given(

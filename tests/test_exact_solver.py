@@ -8,16 +8,24 @@ from summarytree import (
     brute_force_opt,
     canonicalize,
     from_arrays,
-    node_pseudo_entropy,
     random_tree,
     solve_approx,
     solve_exact,
     solve_greedy,
     validate_summary_tree,
 )
-from tests.conftest import make_tree, path_tree, root_group_roots, star_tree, tree_records
+from summarytree.entropy_core import _term, _terms
+from tests.conftest import (
+    extreme_tree_records,
+    make_tree,
+    path_tree,
+    root_group_roots,
+    star_tree,
+    tree_records,
+)
 
 H_1_3 = 0.8112781244591328
+NEG_INF = float("-inf")
 
 
 def reference_pair_cost(tables) -> int:
@@ -50,6 +58,89 @@ def reference_pair_cost(tables) -> int:
     return total
 
 
+def _skew_maxplus(G, B):
+    """out[t-2] = max_h G[h-1] + B[t-h-1] for t = 2..len(G)+len(B)."""
+    lg, lb = G.shape[0], B.shape[0]
+    if lb == 1:
+        return G + B[0]
+    if lg == 1:
+        return G[0] + B
+    P = np.full((lg, lg + lb), NEG_INF)
+    P[:, :lb] = np.add.outer(G, B)
+    return P.ravel()[:-lg].reshape(lg, lg + lb - 1).max(axis=0)
+
+
+def _sweep_one_class(tables, sizes, counts, W, K, seed, seed_nonempty, start, skip):
+    """Forest table of one candidate class, one child position at a time."""
+    if seed_nonempty:
+        G, cum, avail, positions = np.array([_term(seed, W)]), seed, 1, range(start, len(tables) + 1)
+    else:
+        G, cum, avail, positions = tables[0], float(sizes[0]), int(counts[0]), range(2, len(tables) + 1)
+    for pos in positions:
+        if pos == skip:
+            continue
+        out = _skew_maxplus(G, tables[pos - 1])
+        c = int(counts[pos - 1])
+        new_avail = min(K - 1, avail + c)
+        cum += float(sizes[pos - 1])
+        G = np.empty(new_avail)
+        G[0] = _term(cum, W)
+        G[1:] = out[: new_avail - 1]
+        avail += c
+    return G
+
+
+def reference_fill(tables):
+    """F, win and the mask of filled entries, sweeping each class on its own.
+
+    The classes of a node are swept one after another, prefix class first
+    and then the near-prefix classes by increasing j; an entry's winner
+    is the first class that attains the maximum.
+    """
+    t, K, W = tables.tree, tables.K, tables.tree.W
+    greedy = tables.mode == "greedy"
+    caps = np.minimum(K, t.count).astype(np.int64)
+    caps[0] = 0
+    offs = np.zeros(t.n + 1, dtype=np.int64)
+    offs[1:] = np.cumsum(caps[1:]) - caps[1:]
+    F = np.full(int(caps.sum()), np.nan)
+    win = np.zeros(F.shape[0], dtype=np.int32)
+    pw, ps = _terms(t.weight, W), _terms(t.size, W)
+    interior = {v for ch in tables.chains.values() for v, _ in ch.seq[1:]}
+    for v in range(t.n, 0, -1):
+        off, cap, d = int(offs[v]), int(caps[v]), int(t.degree[v])
+        if v in interior:
+            continue
+        ch = tables.chains.get(v)
+        if ch is not None:
+            u, s = int(offs[ch.bottom]), min(ch.l + ch.lprime, cap)
+            F[off : off + s] = F[u]
+            F[off + s : off + cap] = F[u : u + cap - s]
+            continue
+        F[off] = ps[v]
+        if d == 0 or cap == 1:
+            continue
+        fc = int(t.first_child[v])
+        sizes, counts = t.size[fc : fc + d], t.count[fc : fc + d]
+        kids = [F[offs[c] : offs[c] + min(K - 1, caps[c])] for c in range(fc, fc + d)]
+        a = max(1, d - (K if greedy else K - 1) + 1)
+        seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
+        best = None
+        for j in [0] if greedy else [0, *range(max(3, d - K + 3), d + 1)]:
+            G = _sweep_one_class(
+                kids, sizes, counts, W, K, seed + float(sizes[j - 1]) if j else seed, a > 1 or j > 0, a, j
+            )
+            if best is None:
+                best = G.copy()
+                continue
+            m = min(G.shape[0], best.shape[0])
+            gt = G[:m] > best[:m]
+            best[:m][gt] = G[:m][gt]
+            win[off + 1 : off + 1 + m][gt] = j
+        F[off + 1 : off + cap] = pw[v] + best[: cap - 1]
+    return F, win, ~np.isnan(F)
+
+
 class TestSmallInstances:
     def test_p4_all_orders(self, p4):
         tb = solve_exact(p4, 4)
@@ -69,9 +160,7 @@ class TestSmallInstances:
     def test_f_v1_equals_node_pseudo_entropy(self, gap7):
         tb = solve_exact(gap7, 4)
         for v in range(1, gap7.n + 1):
-            assert tb.value(v, 1) == pytest.approx(
-                node_pseudo_entropy(float(gap7.size[v]), gap7.W).value, abs=1e-12
-            )
+            assert tb.value(v, 1) == pytest.approx(_h(float(gap7.size[v]), gap7.W), abs=1e-12)
 
     def test_value_range_checked(self, p4):
         tb = solve_exact(p4, 2)
@@ -142,6 +231,83 @@ class TestSweeps:
                 assert tb.entropy_bits(k) == pytest.approx(
                     brute_force_opt(t, k).best, abs=1e-9
                 )
+
+
+class TestStackedSweep:
+    """The one stacked sweep gives the per-class reference F, win and pair_cost."""
+
+    @staticmethod
+    def check(tables) -> None:
+        F, win, filled = reference_fill(tables)
+        assert np.array_equal(tables.F[filled], F[filled])
+        assert np.array_equal(tables.win, win)
+        assert tables.pair_cost == reference_pair_cost(tables)
+
+    def test_empty_and_nonempty_prefix_seeds(self):
+        # Degree 12 against K: every internal node has d <= K-1 (empty
+        # prefix seed) at K = 13 and 16, and d >= K (a seed of absorbed
+        # children) at K = 4, 8 and 12.
+        rng = np.random.default_rng(41)
+        for K in (4, 8, 12, 13, 16):
+            for weights in ("uniform", "integer"):
+                t = canonicalize(
+                    random_tree(157, shape="fixed-degree", degree=12, weights=weights, seed=rng)
+                )
+                self.check(solve_exact(t, K))
+
+    def test_nodes_without_near_prefix_classes(self):
+        # Degree < 3 everywhere: the prefix class is the only row.
+        rng = np.random.default_rng(42)
+        for n in (2, 3, 9, 60):
+            for K in (2, 3, 5, 9):
+                self.check(solve_exact(path_tree(rng.uniform(0, 4, n)), K))
+                t = canonicalize(random_tree(n, shape="fixed-degree", degree=2, seed=rng))
+                self.check(solve_exact(t, K))
+
+    def test_tie_heavy_integer_weights(self):
+        rng = np.random.default_rng(43)
+        wins = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 90))
+            shape = ("uniform", "fixed-degree")[trial % 2]
+            t = canonicalize(
+                random_tree(
+                    n, shape=shape, degree=int(rng.integers(3, 20)), weights="integer",
+                    max_weight=2, seed=rng,
+                )
+            )
+            tables = solve_exact(t, int(rng.integers(2, 14)))
+            self.check(tables)
+            wins += np.count_nonzero(tables.win)
+        for leaves in ([1] * 7, [1, 1, 2, 2, 2, 3], [0, 0, 1, 1, 1]):
+            for K in (3, 4, 6, 8):
+                self.check(solve_exact(star_tree(1, leaves), K))
+        assert wins > 0
+
+    def test_greedy_mode(self):
+        rng = np.random.default_rng(44)
+        for trial in range(40):
+            n = int(rng.integers(2, 120))
+            shape = ("uniform", "fixed-degree")[trial % 2]
+            weights = ("uniform", "integer")[(trial // 2) % 2]
+            t = canonicalize(
+                random_tree(n, shape=shape, degree=int(rng.integers(2, 20)), weights=weights, seed=rng)
+            )
+            self.check(solve_greedy(t, int(rng.integers(1, 14))))
+
+    def test_zero_heavy_approx_reductions_with_chains(self):
+        rng = np.random.default_rng(45)
+        chains = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 150))
+            parents = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+            weights = np.where(rng.random(n) < 0.9, 0.0, rng.integers(1, 4, n)).astype(float)
+            weights[0] += 1.0
+            t = canonicalize(from_arrays(parents, weights))
+            tables = solve_approx(t, int(rng.integers(2, 14)), 0.5).tables
+            self.check(tables)
+            chains += len(tables.chains)
+        assert chains > 20
 
 
 class TestOracleEquivalence:
@@ -241,6 +407,28 @@ class TestProperties:
             assert e >= prev - 1e-9
             assert e <= math.log2(k) + 1e-9
             prev = e
+
+    @given(extreme_tree_records())
+    @settings(max_examples=80)
+    def test_extreme_weights(self, recs):
+        t = make_tree(recs)
+        K = min(t.n, 6)
+        exact, greedy = solve_exact(t, K), solve_greedy(t, K)
+        ex, gr = exact.all_entropy_bits(), greedy.all_entropy_bits()
+        for k in range(1, K + 1):
+            e, g = ex[k - 1], gr[k - 1]
+            assert g <= e + 1e-9
+            assert e <= math.log2(k) + 1e-9 and g <= math.log2(k) + 1e-9
+            if k > 1:
+                assert e >= ex[k - 2] - 1e-9 and g >= gr[k - 2] - 1e-9
+            for tables, value in ((exact, e), (greedy, g)):
+                s = tables.reconstruct(k)
+                assert s.entropy_bits == pytest.approx(value, abs=1e-9)
+                validate_summary_tree(s, t)
+            if t.n <= 8:
+                r = brute_force_opt(t, k)
+                assert e == pytest.approx(r.best, abs=1e-9)
+                assert g == pytest.approx(r.prefix_max, abs=1e-9)
 
     def test_scale_invariance_power_of_two(self):
         rng = np.random.default_rng(5)
