@@ -10,21 +10,11 @@ cost is independent of the weight magnitudes, a brute-force oracle for
 small trees, and a CLI.
 """
 
-from .approx_solver import (
-    ApproxResult,
-    ReducedTree,
-    RoundedTree,
-    compute_W0,
-    discrepancy_round,
-    reduce_tree,
-    rescale,
-    solve_approx,
-)
+from .approx_solver import ApproxResult, compute_W0, solve_approx
 from .entropy_core import entropy
-from .exact_solver import DPTables, solve_exact
+from .exact_solver import DPTables, solve_exact, solve_greedy
 from .generate import random_tree
-from .greedy_solver import solve_greedy
-from .oracle import BruteForceResult, brute_force_opt, count_summary_trees, enumerate_all
+from .oracle import BruteForceResult, brute_force_opt, enumerate_all
 from .summary import InvariantError, SummaryNode, SummaryTree, validate_summary_tree
 from .tree_model import (
     CanonicalTree,
@@ -46,8 +36,6 @@ __all__ = [
     "DPTables",
     "InputTree",
     "InvariantError",
-    "ReducedTree",
-    "RoundedTree",
     "SummaryNode",
     "SummaryTree",
     "TreeError",
@@ -55,16 +43,12 @@ __all__ = [
     "build_tree",
     "canonicalize",
     "compute_W0",
-    "count_summary_trees",
-    "discrepancy_round",
     "entropy",
     "enumerate_all",
     "from_arrays",
     "random_tree",
     "read_csv",
     "read_json",
-    "reduce_tree",
-    "rescale",
     "solve_approx",
     "solve_exact",
     "solve_greedy",

@@ -20,7 +20,8 @@ tree with its chains.  Its rebuilt nodes are mapped back to the input
 tree in place and padded to k nodes; the rounded entropy scores those
 final nodes with :func:`summary.node_weight` over the rounded weights.
 An epsilon so small that W0 reaches 2**53, or that float64 rounding
-already breaks :meth:`RoundedTree.check`, is a ``ValueError``.
+already breaks :meth:`RoundedTree.check`, is a ``ValueError``, and so is
+a total weight so small that W0/W overflows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 
 from .entropy_core import _terms
 from .exact_solver import DPTables, _Chain
-from .summary import InvariantError, SummaryNode, SummaryTree, attach_members, node_weight
+from .summary import (InvariantError, SummaryNode, SummaryTree, attach_members, node_weight,
+                      summary_node)
 from .tree_model import CanonicalTree, _canonical
 
 __all__ = [
@@ -73,8 +75,14 @@ def rescale(t: CanonicalTree, W0: int) -> CanonicalTree:
 
     Pure rescaling leaves the entropy of every summary tree unchanged
     and preserves the canonical child order and labeling.
+
+    Raises:
+        ValueError: W0/W overflows (W near the smallest float64 values).
     """
-    return t.with_scaled_weights(float(W0) / t.W)
+    factor = float(W0) / t.W
+    if not math.isfinite(factor):
+        raise ValueError(f"total weight {t.W!r} is too small to rescale to W0={W0}")
+    return t.with_scaled_weights(factor)
 
 
 @dataclass
@@ -91,7 +99,7 @@ class RoundedTree:
     s_rounded: np.ndarray
     W0: int
 
-    def check(self, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         w = self.tree.weight[1:]
         wr = self.w_rounded[1:]
         lo = np.floor(w)
@@ -100,7 +108,7 @@ class RoundedTree:
         if int(self.w_rounded.sum()) != self.W0:
             raise InvariantError("rounded total differs from W0")
         disc = np.abs(self.s_rounded[1:] - self.tree.size[1:])
-        if float(disc.max(initial=0.0)) > 1.0 + tol:
+        if float(disc.max(initial=0.0)) > 1.0 + 1e-9:
             raise InvariantError("a subtree discrepancy exceeds 1")
 
 
@@ -276,26 +284,15 @@ def _map_to_original(
                     roots.append(oc)
                 else:
                     roots.extend(int(x) for x in red.placeholder_roots[c])
-            nodes[i] = _group_or_subtree(base, int(ol[nd.anchor]), roots, nd.parent)
+            nodes[i] = summary_node(base, int(ol[nd.anchor]), roots, nd.parent)
         elif ol[nd.anchor]:
             nd.anchor = int(ol[nd.anchor])
             nd.weight = float(node_weight(nd, base.weight, base.size))
         else:  # a placeholder stands for the zero-sized children it removed
             roots = list(red.placeholder_roots[nd.anchor])
             parent_orig = int(ol[red.tree.parent[nd.anchor]])
-            nodes[i] = _group_or_subtree(base, parent_orig, roots, nd.parent)
+            nodes[i] = summary_node(base, parent_orig, roots, nd.parent)
     return nodes
-
-
-def _group_or_subtree(
-    base: CanonicalTree, parent_orig: int, roots: list[int], parent_idx: int
-) -> SummaryNode:
-    if len(roots) == 1:
-        c = roots[0]
-        kind = "subtree" if int(base.count[c]) > 1 else "singleton"
-        return SummaryNode(kind, c, parent_idx, float(base.size[c]))
-    weight = float(sum(base.size[c] for c in roots))
-    return SummaryNode("group", parent_orig, parent_idx, weight, (), tuple(sorted(roots)))
 
 
 def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: CanonicalTree) -> None:
@@ -316,9 +313,9 @@ def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: Canonica
                     continue
                 c = zero_roots[0]
                 rest = tuple(x for x in nd.child_roots if x != c)
-                piece = _group_or_subtree(base, nd.anchor, [c], nd.parent)
+                piece = summary_node(base, nd.anchor, (c,), nd.parent)
                 if len(rest) == 1:
-                    nodes[i] = _group_or_subtree(base, nd.anchor, [rest[0]], nd.parent)
+                    nodes[i] = summary_node(base, nd.anchor, rest, nd.parent)
                 else:
                     nd.child_roots = rest
                     nd.weight -= float(base.size[c])
@@ -333,8 +330,8 @@ def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: Canonica
                 if int(w_r[y]) != 0 and tail != 0:
                     continue
                 kids = list(base.children(y))
-                nodes[i] = SummaryNode("singleton", y, nd.parent, float(base.weight[y]))
-                nodes.append(_group_or_subtree(base, y, kids, i))
+                nodes[i] = summary_node(base, y, (), nd.parent)
+                nodes.append(summary_node(base, y, kids, i))
                 done = True
                 break
         if not done:
@@ -353,8 +350,9 @@ def solve_approx(
     O(n + W0 * K^3) time.
 
     Raises:
-        ValueError: epsilon or c out of range, or W0 so large that the
-            rounding loses its guarantees in float64.
+        ValueError: epsilon or c out of range, W0 so large that the
+            rounding loses its guarantees in float64, or a total weight
+            too small to rescale to W0.
     """
     W0 = compute_W0(K, epsilon, c)
     rounded = discrepancy_round(rescale(t, W0))

@@ -21,8 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from .approx_solver import solve_approx
-from .exact_solver import solve_exact
-from .greedy_solver import solve_greedy
+from .exact_solver import solve_exact, solve_greedy
 from .generate import SHAPES, WEIGHT_KINDS, random_tree
 from .summary import InvariantError, SummaryTree
 from .tree_model import CanonicalTree, TreeError, canonicalize, read_csv, read_json
@@ -64,7 +63,8 @@ def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
     for i, nd in enumerate(s.nodes):
         ident = _node_label(s, i, ct)
         if nd.kind == "group":
-            text = f"other ({len(nd.members)}) ({nd.weight:.12g})"
+            members = sum(int(ct.count[c]) for c in nd.child_roots)
+            text = f"other ({members}) ({nd.weight:.12g})"
         else:
             text = f"{ident} ({nd.weight:.12g})"
         idents.append((ident, text))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tree_model import InputTree, from_arrays
 
-__all__ = ["random_tree", "random_parents"]
+__all__ = ["random_tree"]
 
 SHAPES = ("uniform", "fixed-degree")
 WEIGHT_KINDS = ("unit", "uniform", "integer")

@@ -26,14 +26,14 @@ from .summary import SummaryNode, SummaryTree, attach_members
 from .tree_model import CanonicalTree
 
 __all__ = [
-    "DEFAULT_CAP",
     "BruteForceResult",
     "enumerate_all",
     "brute_force_opt",
     "count_summary_trees",
 ]
 
-DEFAULT_CAP = 12
+# Largest tree the oracle takes: the enumeration grows exponentially in n.
+_CAP = 12
 
 # light node record: (kind, parent_index_within_tree, anchor, group_child_roots)
 _Rec = tuple[str, int, int, tuple[int, ...]]
@@ -49,9 +49,9 @@ class BruteForceResult:
     prefix_max: float
 
 
-def _check_cap(t: CanonicalTree, cap: int) -> None:
-    if t.n > cap:
-        raise ValueError(f"tree has {t.n} nodes, above the enumeration cap {cap}")
+def _check_cap(t: CanonicalTree) -> None:
+    if t.n > _CAP:
+        raise ValueError(f"tree has {t.n} nodes, above the enumeration cap {_CAP}")
 
 
 class _Enumerator:
@@ -172,19 +172,19 @@ def _to_summary_tree(t: CanonicalTree, recs: tuple[_Rec, ...]) -> SummaryTree:
     return attach_members(SummaryTree(len(recs), ent, W, nodes), t)
 
 
-def enumerate_all(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> Iterator[SummaryTree]:
+def enumerate_all(t: CanonicalTree, k: int) -> Iterator[SummaryTree]:
     """Yield every structurally valid k-node summary tree exactly once.
 
     Raises:
-        ValueError: tree larger than the enumeration cap.
+        ValueError: tree larger than the enumeration cap of 12 nodes.
     """
-    _check_cap(t, cap)
+    _check_cap(t)
     enum = _Enumerator(t)
     for recs, _, _ in enum.trees(1, k):
         yield _to_summary_tree(t, recs)
 
 
-def brute_force_opt(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> BruteForceResult:
+def brute_force_opt(t: CanonicalTree, k: int) -> BruteForceResult:
     """Maximum entropy over all k-node summary trees, with restricted maxima.
 
     Returns the unrestricted maximum and witness, plus the maxima when
@@ -192,7 +192,7 @@ def brute_force_opt(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> BruteFo
     its parent's size-sorted children.  The witness is the first
     maximizer in the deterministic enumeration order.
     """
-    _check_cap(t, cap)
+    _check_cap(t)
     enum = _Enumerator(t)
     W = t.W
     best = -1.0
@@ -215,14 +215,14 @@ def brute_force_opt(t: CanonicalTree, k: int, cap: int = DEFAULT_CAP) -> BruteFo
     return BruteForceResult(best, _to_summary_tree(t, best_recs), best_np, best_p)
 
 
-def count_summary_trees(t: CanonicalTree, cap: int = DEFAULT_CAP) -> list[int]:
+def count_summary_trees(t: CanonicalTree) -> list[int]:
     """Independent count of k-node summary trees for k = 1..n.
 
     Computed with generating polynomials (one coefficient vector per
     subtree, combined by convolution) rather than by enumeration, so it
     cross-checks :func:`enumerate_all` for both duplicates and omissions.
     """
-    _check_cap(t, cap)
+    _check_cap(t)
     memo: dict[int, np.ndarray] = {}
 
     def poly(v: int) -> np.ndarray:

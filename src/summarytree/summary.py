@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .entropy_core import _terms
 from .tree_model import CanonicalTree
 
 __all__ = ["SummaryNode", "SummaryTree", "InvariantError", "validate_summary_tree"]
+
+_REL_TOL = 1e-9
 
 
 class InvariantError(RuntimeError):
@@ -60,8 +63,21 @@ class SummaryTree:
     total_weight: float
     nodes: list[SummaryNode] = field(default_factory=list)
 
-    def node_weights(self) -> list[float]:
-        return [nd.weight for nd in self.nodes]
+
+def summary_node(ct: CanonicalTree, anchor: int, roots: Sequence[int], parent: int) -> SummaryNode:
+    """The node holding ``anchor`` alone (no roots), one root's whole subtree, or a group.
+
+    A group's roots are children of ``anchor``; its weight sums their sizes
+    in the order given, and ``child_roots`` holds them sorted.
+    """
+    if not roots:
+        return SummaryNode("singleton", anchor, parent, float(ct.weight[anchor]))
+    if len(roots) == 1:
+        c = roots[0]
+        kind = "subtree" if int(ct.count[c]) > 1 else "singleton"
+        return SummaryNode(kind, c, parent, float(ct.size[c]))
+    weight = float(sum(ct.size[c] for c in roots))
+    return SummaryNode("group", anchor, parent, weight, (), tuple(sorted(roots)))
 
 
 def node_weight(nd: SummaryNode, weight, size):
@@ -76,11 +92,6 @@ def node_weight(nd: SummaryNode, weight, size):
     return sum(size[c] for c in nd.child_roots)
 
 
-def recompute_entropy_bits(tree: SummaryTree) -> float:
-    """Entropy of the summary tree recomputed from its node weights."""
-    return float(_terms(np.array(tree.node_weights()), tree.total_weight).sum())
-
-
 def _child_position(ct: CanonicalTree, v: int, child: int) -> int:
     """1-based position of ``child`` within v's size-sorted children."""
     return child - int(ct.first_child[v]) + 1
@@ -90,14 +101,14 @@ def validate_summary_tree(
     tree: SummaryTree,
     ct: CanonicalTree,
     strict_classes: bool = False,
-    rel_tol: float = 1e-9,
 ) -> None:
     """Check every structural invariant of a summary tree of ``ct``.
 
     Checks: node count, member sets partition the input nodes, weights,
     single root anchored at the tree root, parent links consistent with
     the input tree, at most one group child per node, group child sets
-    drawn from one parent's children, and the recomputed entropy.  With
+    drawn from one parent's children, and the recomputed entropy; weights
+    and the entropy must match to a relative ``1e-9``.  With
     ``strict_classes`` every group's child set must additionally be a
     prefix or a near-prefix of the parent's size-sorted children.
 
@@ -124,7 +135,7 @@ def validate_summary_tree(
             fail("empty member set")
         covered.append(labels)
         w = float(ct.weight[labels].sum())
-        if abs(w - nd.weight) > rel_tol * max(1.0, abs(w)):
+        if abs(w - nd.weight) > _REL_TOL * max(1.0, abs(w)):
             fail(f"node weight {nd.weight} != member sum {w}")
     allcov = np.sort(np.concatenate(covered))
     if allcov.size != ct.n or not np.array_equal(allcov, np.arange(1, ct.n + 1)):
@@ -134,7 +145,7 @@ def validate_summary_tree(
         fail("root summary node does not contain the tree root")
 
     total = sum(nd.weight for nd in nodes)
-    if abs(total - tree.total_weight) > rel_tol * tree.total_weight:
+    if abs(total - tree.total_weight) > _REL_TOL * tree.total_weight:
         fail(f"node weights sum to {total}, expected {tree.total_weight}")
 
     group_children: dict[int, int] = {}
@@ -168,8 +179,8 @@ def validate_summary_tree(
                 if int(ct.parent[nd.anchor]) != p:
                     fail("summary node is not attached under its input parent")
 
-    recomputed = recompute_entropy_bits(tree)
-    if abs(recomputed - tree.entropy_bits) > rel_tol * max(1.0, abs(recomputed)):
+    recomputed = float(_terms(np.array([nd.weight for nd in nodes]), tree.total_weight).sum())
+    if abs(recomputed - tree.entropy_bits) > _REL_TOL * max(1.0, abs(recomputed)):
         fail(f"entropy {tree.entropy_bits} != recomputed {recomputed}")
 
 

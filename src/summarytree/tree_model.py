@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class InputTree:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
 
 def build_tree(records: Iterable[Record]) -> InputTree:
@@ -372,24 +368,16 @@ class CanonicalTree:
         return out
 
 
-def canonicalize(t: Union[InputTree, CanonicalTree]) -> CanonicalTree:
+def canonicalize(t: InputTree) -> CanonicalTree:
     """Compute sizes, counts, and degrees, sort children, and relabel.
 
     Children of every node are ordered nondecreasing by subtree size with
     ties broken by external id, and labels are assigned breadth-first so
     siblings are consecutive and every parent label precedes its
-    children's.  Idempotent: canonicalizing a canonical tree reproduces
-    the same labeling.  The id rank behind the tie-break is kept as
-    ``id_rank``, and a canonical input's ``id_rank`` is reused rather
-    than sorted again.
+    children's.  The id rank behind the tie-break is kept as ``id_rank``.
     """
-    if isinstance(t, CanonicalTree):
-        rank = t.id_rank[1:]
-        # Node i of the rebuilt input is label i + 1; the root's parent 0 becomes -1.
-        t = InputTree(tuple(t.ext_of_label[1:]), t.parent[1:] - 1, t.weight[1:].copy(), 0)
-    else:
-        rank = np.empty(t.n, dtype=np.int64)
-        rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
+    rank = np.empty(t.n, dtype=np.int64)
+    rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
     tree, label = _canonical(t.parent_idx, t.root, t.weights, rank, t.ids)
     tree.id_rank = np.zeros(t.n + 1, dtype=np.int64)
     tree.id_rank[label] = rank

@@ -17,13 +17,12 @@ import pytest
 from summarytree import (
     brute_force_opt,
     canonicalize,
-    discrepancy_round,
     random_tree,
-    rescale,
     solve_approx,
     solve_exact,
     solve_greedy,
 )
+from summarytree.approx_solver import discrepancy_round, rescale
 from tests.conftest import make_tree, path_tree, root_group_roots
 
 # entropy sequences collected by earlier criteria, checked in criterion 8

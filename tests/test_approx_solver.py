@@ -6,14 +6,12 @@ from summarytree import (
     brute_force_opt,
     canonicalize,
     compute_W0,
-    discrepancy_round,
     random_tree,
-    reduce_tree,
-    rescale,
     solve_approx,
     solve_exact,
     validate_summary_tree,
 )
+from summarytree.approx_solver import discrepancy_round, reduce_tree, rescale
 from summarytree.tree_model import from_arrays
 from tests.conftest import assert_canonical, make_tree, path_tree, star_tree, tree_records
 
@@ -210,6 +208,23 @@ class TestReduceTree:
                 assert got == reference_chains(red.tree)
                 found += len(got)
         assert found > 500
+
+    def test_interior_chain_nodes_have_no_table(self):
+        rng = np.random.default_rng(28)
+        interior = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 150))
+            parents = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+            weights = np.where(rng.random(n) < 0.9, 0.0, rng.integers(1, 4, n)).astype(float)
+            weights[0] += 1.0
+            tables = solve_approx(canonicalize(from_arrays(parents, weights)), 8, 0.5).tables
+            for ch in tables.chains.values():
+                tables.value(ch.top, 1)
+                for v, _ in ch.seq[1:]:
+                    with pytest.raises(ValueError, match="outside"):
+                        tables.value(v, 1)
+                    interior += 1
+        assert interior > 20
 
     def test_all_zero_rejected(self):
         t = make_tree([("r", None, 0.2), ("a", "r", 0.2)])

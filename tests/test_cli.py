@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import summarytree
 from summarytree import (
     brute_force_opt,
     canonicalize,
@@ -192,6 +196,22 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {category}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rows", ["r,,5e-324\nz,r,0\n", "r,,5e-324\n"])
+    def test_approx_on_subnormal_total_is_one_error_line(self, tmp_path, rows):
+        # W0/W overflows to inf; run in a subprocess so that warnings and
+        # tracebacks reach the captured stderr.
+        p = tmp_path / "tiny.csv"
+        p.write_text("id,parent,weight\n" + rows, encoding="utf-8")
+        src = str(Path(summarytree.__file__).parents[1])
+        argv = ["--input", str(p), "-K", "2", "--algorithm", "approx", "--epsilon", "0.1"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "from summarytree.cli import main; main()", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: input:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_epsilon_past_exact_rounding_is_input_error(self, path3_csv, capsys):
         # W0 = 6.3e15 is below 2**53, yet the float64 prefix sums of the

@@ -173,7 +173,7 @@ def test_argmax_invariance_on_enumerated_candidates():
     W_sub = sub.W
     W_full = 12.0
     for k in range(1, 5):
-        cands = [t.node_weights() for t in enumerate_all(sub, k)]
+        cands = [[nd.weight for nd in t.nodes] for t in enumerate_all(sub, k)]
         ents = [entropy(ws, W_sub) for ws in cands]
         pseudos = [
             sum(node_pseudo_entropy(w, W_full).value for w in ws) for ws in cands

@@ -99,14 +99,15 @@ def reference_fill(tables):
     """
     t, K, W = tables.tree, tables.K, tables.tree.W
     greedy = tables.mode == "greedy"
+    interior = {v for ch in tables.chains.values() for v, _ in ch.seq[1:]}
     caps = np.minimum(K, t.count).astype(np.int64)
     caps[0] = 0
+    caps[list(interior)] = 0  # interior chain nodes have no table
     offs = np.zeros(t.n + 1, dtype=np.int64)
     offs[1:] = np.cumsum(caps[1:]) - caps[1:]
     F = np.full(int(caps.sum()), np.nan)
     win = np.zeros(F.shape[0], dtype=np.int32)
     pw, ps = _terms(t.weight, W), _terms(t.size, W)
-    interior = {v for ch in tables.chains.values() for v, _ in ch.seq[1:]}
     for v in range(t.n, 0, -1):
         off, cap, d = int(offs[v]), int(caps[v]), int(t.degree[v])
         if v in interior:
@@ -429,6 +430,14 @@ class TestProperties:
                 r = brute_force_opt(t, k)
                 assert e == pytest.approx(r.best, abs=1e-9)
                 assert g == pytest.approx(r.prefix_max, abs=1e-9)
+        try:
+            ap = solve_approx(t, K, 0.5)
+        except ValueError as exc:  # only a total too small to rescale
+            assert "too small to rescale" in str(exc) and t.W < 1e-300
+            return
+        assert ap.max_k == K
+        for s in ap.trees:
+            validate_summary_tree(s, t)
 
     def test_scale_invariance_power_of_two(self):
         rng = np.random.default_rng(5)
