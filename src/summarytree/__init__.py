@@ -11,7 +11,6 @@ small trees, and a CLI.
 """
 
 from .approx_solver import ApproxResult, compute_W0, solve_approx
-from .entropy_core import entropy
 from .exact_solver import DPTables, solve_exact, solve_greedy
 from .generate import random_tree
 from .oracle import BruteForceResult, brute_force_opt, enumerate_all
@@ -43,7 +42,6 @@ __all__ = [
     "build_tree",
     "canonicalize",
     "compute_W0",
-    "entropy",
     "enumerate_all",
     "from_arrays",
     "random_tree",

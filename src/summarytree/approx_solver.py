@@ -20,8 +20,9 @@ tree with its chains.  Its rebuilt nodes are mapped back to the input
 tree in place and padded to k nodes; the rounded entropy scores those
 final nodes with :func:`summary.node_weight` over the rounded weights.
 An epsilon so small that W0 reaches 2**53, or that float64 rounding
-already breaks :meth:`RoundedTree.check`, is a ``ValueError``, and so is
-a total weight so small that W0/W overflows.
+already breaks :meth:`RoundedTree.check` or moves the rounded total off
+W0, is a ``ValueError``, and so is a total weight so small that W0/W
+overflows.
 """
 
 from __future__ import annotations
@@ -48,22 +49,25 @@ __all__ = [
 ]
 
 
-def compute_W0(K: int, epsilon: float, c: float = 2.0) -> int:
-    """Integer rescaling target W0 = max(2K, ceil((cK/eps) * lg(2 + cK/eps))).
+# The constant c in x = c*K/epsilon, calibrated so that the additive
+# guarantee holds in the acceptance suite.  It is not an option: W0 depends
+# on c and epsilon only through c/epsilon, so epsilon alone sets it.
+W0_CONSTANT = 2.0
 
-    The lower clamp at 2K keeps the rounded tree from starving the DP of
-    mass at tiny K.  ``c`` trades run time against approximation slack;
-    the default is calibrated so the additive-epsilon guarantee holds in
-    the acceptance suite.  W0 must stay below 2**53, where float64 stops
-    holding every integer and the rounding guarantees lapse.
+
+def compute_W0(K: int, epsilon: float) -> int:
+    """Integer rescaling target W0 = max(2K, ceil(x lg(2 + x))), x = 2K/epsilon.
+
+    The 2 is :data:`W0_CONSTANT`.  The lower clamp at 2K keeps the rounded
+    tree from starving the DP of mass at tiny K.  W0 must stay below
+    2**53, where float64 stops holding every integer and the rounding
+    guarantees lapse.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError(f"c must be positive and finite, got {c!r}")
-    x = c * K / epsilon
+    x = W0_CONSTANT * K / epsilon
     w = x * math.log2(2.0 + x)
     if not w < 2.0**53:  # also false for inf and nan
         raise ValueError(f"epsilon={epsilon!r} is too small: W0 = {w:.3g} is not below 2**53")
@@ -90,8 +94,9 @@ class RoundedTree:
     """Integer-rounded weights of the rescaled ``tree``.
 
     Guarantees (checked by :meth:`check`): every rounded weight is the
-    floor or the ceiling of its rescaled value, every subtree total moves
-    by at most 1, and the grand total is exactly W0.
+    floor or the ceiling of its rescaled value, and every subtree total
+    moves by at most 1.  ``W0`` is the rounded grand total, which
+    :func:`solve_approx` checks against the W0 it rescaled to.
     """
 
     tree: CanonicalTree
@@ -105,8 +110,6 @@ class RoundedTree:
         lo = np.floor(w)
         if not ((wr == lo) | (wr == lo + 1)).all():
             raise InvariantError("a rounded weight is not floor or floor+1")
-        if int(self.w_rounded.sum()) != self.W0:
-            raise InvariantError("rounded total differs from W0")
         disc = np.abs(self.s_rounded[1:] - self.tree.size[1:])
         if float(disc.max(initial=0.0)) > 1.0 + 1e-9:
             raise InvariantError("a subtree discrepancy exceeds 1")
@@ -251,19 +254,12 @@ class ApproxResult:
     the same trees scored with the rounded weights, kept for diagnostics.
     """
 
-    K: int
-    epsilon: float
-    c: float
     W0: int
     reduced: ReducedTree
     tables: DPTables
     trees: list[SummaryTree]
     entropy_bits: list[float]
     entropy_bits_rounded: list[float]
-
-    @property
-    def max_k(self) -> int:
-        return len(self.trees)
 
     @property
     def pair_cost(self) -> int:
@@ -338,26 +334,26 @@ def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: Canonica
             raise InvariantError(f"cannot pad summary tree to {k} nodes")
 
 
-def solve_approx(
-    t: CanonicalTree, K: int, epsilon: float, c: float = 2.0
-) -> ApproxResult:
+def solve_approx(t: CanonicalTree, K: int, epsilon: float) -> ApproxResult:
     """Summary trees within an additive ``epsilon`` of maximum entropy.
 
-    Pipeline: rescale to W0 = compute_W0(K, epsilon, c), discrepancy-round,
+    Pipeline: rescale to W0 = compute_W0(K, epsilon), discrepancy-round,
     reduce the zero-weight structure, run the exact DP on the reduced tree
     (with O(K) shortcuts across recorded zero-weight chains), and map the
     reconstructed trees back to the original ids and weights.  Runs in
     O(n + W0 * K^3) time.
 
     Raises:
-        ValueError: epsilon or c out of range, W0 so large that the
+        ValueError: epsilon out of range, W0 so large that the
             rounding loses its guarantees in float64, or a total weight
             too small to rescale to W0.
     """
-    W0 = compute_W0(K, epsilon, c)
+    W0 = compute_W0(K, epsilon)
     rounded = discrepancy_round(rescale(t, W0))
     try:
         rounded.check()
+        if rounded.W0 != W0:
+            raise InvariantError(f"rounded total {rounded.W0} differs from W0")
     except InvariantError as exc:
         raise ValueError(
             f"epsilon={epsilon!r} needs W0={W0}, too large to round exactly: {exc}"
@@ -382,4 +378,4 @@ def solve_approx(
         trees.append(tree)
         ents.append(ent)
         ents_rounded.append(ent_r)
-    return ApproxResult(K, epsilon, c, W0, reduced, tables, trees, ents, ents_rounded)
+    return ApproxResult(W0, reduced, tables, trees, ents, ents_rounded)

@@ -20,7 +20,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
-from .approx_solver import solve_approx
+from .approx_solver import W0_CONSTANT, solve_approx
 from .exact_solver import solve_exact, solve_greedy
 from .generate import SHAPES, WEIGHT_KINDS, random_tree
 from .summary import InvariantError, SummaryTree
@@ -149,7 +149,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("-K", type=int, required=True, help="largest summary size; solves all k <= K")
     p.add_argument("--algorithm", choices=("exact", "greedy", "approx"), default="exact")
     p.add_argument("--epsilon", type=float, help="additive entropy slack (approx only)")
-    p.add_argument("--w0-constant", type=float, help="rescaling constant c (approx only; default 2.0)")
     p.add_argument("--output", help="write the result JSON here (default: stdout)")
     p.add_argument("--dot", metavar="PREFIX", help="write PREFIX.k.dot per summary tree")
     p.add_argument("--stats", action="store_true", help="print run statistics JSON to stdout")
@@ -194,8 +193,8 @@ def _run_solve(argv: Sequence[str]) -> int:
     fmt = args.format or ("json" if str(args.input).endswith(".json") else "csv")
     if args.algorithm == "approx" and args.epsilon is None:
         raise _UsageError("--algorithm approx requires --epsilon")
-    if args.algorithm != "approx" and (args.epsilon, args.w0_constant) != (None, None):
-        raise _UsageError("--epsilon and --w0-constant apply only to --algorithm approx")
+    if args.algorithm != "approx" and args.epsilon is not None:
+        raise _UsageError("--epsilon applies only to --algorithm approx")
     if args.epsilon is not None and not 0 < args.epsilon < math.inf:
         raise _UsageError("--epsilon must be positive and finite")
 
@@ -205,15 +204,14 @@ def _run_solve(argv: Sequence[str]) -> int:
     solve_start = time.perf_counter()
     extra: dict = {}
     if args.algorithm == "approx":
-        c = 2.0 if args.w0_constant is None else args.w0_constant
-        res = solve_approx(ct, args.K, args.epsilon, c)
+        res = solve_approx(ct, args.K, args.epsilon)
         trees = res.trees
         entropies = res.entropy_bits
         pair_cost = res.pair_cost
         extra = {
             "epsilon": args.epsilon,
             "w0": res.W0,
-            "w0_constant": c,
+            "w0_constant": W0_CONSTANT,
             "entropy_bits_rounded": res.entropy_bits_rounded,
         }
     else:

@@ -17,11 +17,10 @@ two quantities are related by the affine identity
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["entropy"]
+__all__: list[str] = []
 
 
 def _term(weight: float, total: float) -> float:
@@ -42,23 +41,3 @@ def _terms(weights: np.ndarray, total: float) -> np.ndarray:
     pm = p[mask]
     out[mask] = -pm * np.log2(pm) + 0.0
     return out
-
-
-def entropy(weights: Sequence[float], total: float) -> float:
-    """Shannon entropy in bits of ``weights`` normalized by ``total``.
-
-    ``weights`` must be nonnegative and sum to ``total`` within a relative
-    tolerance of 1e-9.  Zero weights contribute nothing (0 lg 0 = 0).
-
-    Raises:
-        ValueError: nonpositive total, negative weight, or sum mismatch.
-    """
-    if total <= 0.0:
-        raise ValueError(f"total must be positive, got {total!r}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size and float(w.min()) < 0.0:
-        raise ValueError("weights must be nonnegative")
-    s = float(w.sum())
-    if abs(s - total) > 1e-9 * max(abs(total), abs(s)):
-        raise ValueError(f"weights sum to {s!r}, expected total {total!r}")
-    return float(_terms(w, total).sum())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -50,18 +51,26 @@ def random_tree(
     Weight kinds: ``unit`` (all 1), ``uniform`` (real in [0, max_weight)),
     ``integer`` (0..max_weight inclusive, resampled until the total is
     positive).  Deterministic for a fixed seed.
+
+    Raises:
+        ValueError: ``max_weight`` is not finite and positive, or is below
+            1 for ``integer`` weights.
     """
+    if not 0 < max_weight < math.inf or (weights == "integer" and max_weight < 1):
+        raise ValueError(
+            f"max_weight must be finite and positive (>= 1 for integer weights), got {max_weight!r}"
+        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     parents = random_parents(n, shape, rng, degree)
     if weights == "unit":
         w = np.ones(n)
     elif weights == "uniform":
         w = rng.uniform(0.0, max_weight, size=n)
-        while float(w.sum()) <= 0.0:
+        while not w.any():
             w = rng.uniform(0.0, max_weight, size=n)
     elif weights == "integer":
         w = rng.integers(0, int(max_weight) + 1, size=n).astype(np.float64)
-        while float(w.sum()) <= 0.0:
+        while not w.any():
             w = rng.integers(0, int(max_weight) + 1, size=n).astype(np.float64)
     else:
         raise ValueError(f"unknown weight kind {weights!r}; expected one of {WEIGHT_KINDS}")

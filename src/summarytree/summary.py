@@ -92,25 +92,14 @@ def node_weight(nd: SummaryNode, weight, size):
     return sum(size[c] for c in nd.child_roots)
 
 
-def _child_position(ct: CanonicalTree, v: int, child: int) -> int:
-    """1-based position of ``child`` within v's size-sorted children."""
-    return child - int(ct.first_child[v]) + 1
-
-
-def validate_summary_tree(
-    tree: SummaryTree,
-    ct: CanonicalTree,
-    strict_classes: bool = False,
-) -> None:
+def validate_summary_tree(tree: SummaryTree, ct: CanonicalTree) -> None:
     """Check every structural invariant of a summary tree of ``ct``.
 
     Checks: node count, member sets partition the input nodes, weights,
     single root anchored at the tree root, parent links consistent with
     the input tree, at most one group child per node, group child sets
     drawn from one parent's children, and the recomputed entropy; weights
-    and the entropy must match to a relative ``1e-9``.  With
-    ``strict_classes`` every group's child set must additionally be a
-    prefix or a near-prefix of the parent's size-sorted children.
+    and the entropy must match to a relative ``1e-9``.
 
     Raises:
         InvariantError: on the first violated invariant.
@@ -166,15 +155,6 @@ def validate_summary_tree(
                 group_children[nd.parent] = group_children.get(nd.parent, 0) + 1
                 if group_children[nd.parent] > 1:
                     fail("node has more than one group child")
-                if strict_classes:
-                    pos = sorted(_child_position(ct, p, c) for c in nd.child_roots)
-                    m = len(pos)
-                    is_prefix = pos == list(range(1, m + 1))
-                    is_near = (
-                        pos[:-1] == list(range(1, m)) and pos[-1] >= m + 1
-                    )
-                    if not (is_prefix or is_near):
-                        fail(f"group child positions {pos} are neither prefix nor near-prefix")
             else:
                 if int(ct.parent[nd.anchor]) != p:
                     fail("summary node is not attached under its input parent")

@@ -387,7 +387,7 @@ def canonicalize(t: InputTree) -> CanonicalTree:
 def read_csv(path) -> InputTree:
     """Parse the ``id,parent,weight`` CSV format (root row has empty parent)."""
     records: list[Record] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
@@ -407,7 +407,7 @@ def read_csv(path) -> InputTree:
 
 def read_json(path) -> InputTree:
     """Parse the nested JSON format ``{"id":..., "weight":..., "children":[...]}``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     records: list[Record] = []
     stack = [(doc, None)]

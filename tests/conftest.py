@@ -26,6 +26,18 @@ def root_group_roots(s: SummaryTree) -> tuple[int, ...]:
     return ()
 
 
+def assert_group_classes(s: SummaryTree, ct: CanonicalTree) -> None:
+    """Every group's children are a prefix or a near-prefix of its parent's sorted children."""
+    for nd in s.nodes:
+        if nd.kind != "group":
+            continue
+        pos = sorted(c - int(ct.first_child[nd.anchor]) + 1 for c in nd.child_roots)
+        m = len(pos)
+        is_prefix = pos == list(range(1, m + 1))
+        is_near = pos[:-1] == list(range(1, m)) and pos[-1] >= m + 1
+        assert is_prefix or is_near, f"group child positions {pos} are neither prefix nor near-prefix"
+
+
 def make_tree(records) -> CanonicalTree:
     return canonicalize(build_tree(records))
 

@@ -142,9 +142,9 @@ def test_criterion_4_approximation_guarantee():
             for K in (4, 16):
                 ex = solve_exact(t, K)
                 for eps in (0.5, 0.1, 0.05):
-                    ap = solve_approx(t, K, eps, c=2.0)
+                    ap = solve_approx(t, K, eps)
                     _COLLECTED["approx"].append(list(ap.entropy_bits))
-                    for k in range(1, ap.max_k + 1):
+                    for k in range(1, len(ap.trees) + 1):
                         gap = ex.entropy_bits(k) - ap.entropy_bits[k - 1]
                         assert gap <= eps + 1e-9, (n, K, eps, k, gap)
                         assert gap >= -1e-9, (n, K, eps, k, gap)

@@ -80,6 +80,24 @@ class TestSolveCommand:
             members = sorted(m for nd in res["nodes"] for m in nd["members"])
             assert members == sorted(doc["input_id_map"])
 
+    @pytest.mark.parametrize(
+        "suffix, text",
+        [
+            (".csv", "id,parent,weight\nr,,1\na,r,3\nb,r,1\n"),
+            (".json", '{"id": "r", "weight": 1, "children": [{"id": "a", "weight": 3}, '
+                      '{"id": "b", "weight": 1}]}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, suffix, text):
+        outputs = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            p = tmp_path / f"{name}{suffix}"
+            p.write_text(bom + text, encoding="utf-8")
+            assert run(["--input", str(p), "-K", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_byte_identical_reruns(self, csv_tree, tmp_path):
         for extra in ((), ("--algorithm", "greedy"), ("--algorithm", "approx", "--epsilon", "0.2")):
             args, out = _solve_args(csv_tree, tmp_path, *extra)
@@ -203,12 +221,8 @@ class TestErrors:
         # tracebacks reach the captured stderr.
         p = tmp_path / "tiny.csv"
         p.write_text("id,parent,weight\n" + rows, encoding="utf-8")
-        src = str(Path(summarytree.__file__).parents[1])
         argv = ["--input", str(p), "-K", "2", "--algorithm", "approx", "--epsilon", "0.1"]
-        proc = subprocess.run(
-            [sys.executable, "-c", "from summarytree.cli import main; main()", *argv],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
-        )
+        proc = _run_cli_process(argv, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: input:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -220,6 +234,18 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input: epsilon=3e-14 needs W0=6256270777026926")
+        assert err.count("\n") == 1
+
+    def test_rounded_total_off_w0_is_input_error(self, tmp_path, capsys):
+        # Each weight rounds to floor or ceiling and each subtree moves by at
+        # most 1, yet the float64 prefix sums round the total to W0 + 1.
+        p = tmp_path / "off.csv"
+        p.write_text("id,parent,weight\nr,,60.585\na,r,0.071\nb,r,0.891\n", encoding="utf-8")
+        rc = run(["--input", str(p), "-K", "1", "--algorithm", "approx", "--epsilon", "5e-14"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: epsilon=5e-14 needs W0=1807402609341432")
+        assert "rounded total 1807402609341433 differs from W0" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("algorithm", ["exact", "greedy"])
@@ -263,6 +289,15 @@ def test_underflowing_weight_ratio(algorithm, tmp_path, capsys):
         assert res["entropy_bits"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def _run_cli_process(argv: list, timeout: float) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so that warnings and tracebacks reach stderr."""
+    src = str(Path(summarytree.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "from summarytree.cli import main; main()", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout,
+    )
+
+
 def _summary_from_result(res: dict, doc: dict, ct) -> SummaryTree:
     """Rebuild one emitted summary tree, deriving anchors from member ids."""
     position = {nd["label"]: i for i, nd in enumerate(res["nodes"])}
@@ -296,6 +331,23 @@ def test_deep_path_exact(tmp_path):
 
 
 class TestGenCommand:
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [(["--max-weight", "0"], "max_weight"),
+         (["--weights", "integer", "--max-weight", "0.5"], "max_weight"),
+         (["--max-weight", "nan"], "max_weight"),
+         (["--max-weight", "inf"], "max_weight"),
+         (["--max-weight", "1e308"], "total weight overflows")],
+    )
+    def test_degenerate_max_weight_is_one_error_line(self, tmp_path, flags, reason):
+        # A subprocess with a timeout, so that an endless resampling loop
+        # fails the test instead of hanging the suite.
+        out = tmp_path / "g.csv"
+        proc = _run_cli_process(["gen", "--nodes", "50", *flags, "--output", str(out)], timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: input: {reason}") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_gen_writes_parseable_deterministic_csv(self, tmp_path):
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"

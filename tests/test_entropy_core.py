@@ -1,17 +1,35 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from summarytree import entropy
-from summarytree.entropy_core import _term
+from summarytree.entropy_core import _term, _terms
 
 
-# Reference pseudo-entropy arithmetic.  The solvers only use the scalar
-# term ``-p lg p`` against the whole tree's total; these helpers state the
-# identities that make that compositional, so the tests below can check them.
+# Reference entropy and pseudo-entropy arithmetic.  The solvers only use
+# the scalar term ``-p lg p`` against the whole tree's total; these helpers
+# state the identities that make that compositional, so the tests below
+# can check them.
+
+
+def entropy(weights, total: float) -> float:
+    """Shannon entropy in bits of ``weights`` normalized by ``total``.
+
+    ``weights`` must be nonnegative and sum to ``total`` within a relative
+    tolerance of 1e-9.  Zero weights contribute nothing (0 lg 0 = 0).
+    """
+    if total <= 0.0:
+        raise ValueError(f"total must be positive, got {total!r}")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.size and float(w.min()) < 0.0:
+        raise ValueError("weights must be nonnegative")
+    s = float(w.sum())
+    if abs(s - total) > 1e-9 * max(abs(total), abs(s)):
+        raise ValueError(f"weights sum to {s!r}, expected total {total!r}")
+    return float(_terms(w, total).sum())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from summarytree import (
     solve_greedy,
     validate_summary_tree,
 )
-from tests.conftest import make_tree, path_tree, root_group_roots
+from tests.conftest import assert_group_classes, make_tree, path_tree, root_group_roots
 
 
 class TestGreedyOnPaths:
@@ -79,7 +79,8 @@ class TestDominanceAndOracle:
                 prev = e
                 s = tb.reconstruct(k)
                 assert s.entropy_bits == pytest.approx(e, abs=1e-9)
-                validate_summary_tree(s, t, strict_classes=True)
+                validate_summary_tree(s, t)
+                assert_group_classes(s, t)
 
     def test_pair_cost_bound(self):
         rng = np.random.default_rng(6)
@@ -125,4 +126,6 @@ class TestDominanceAndOracle:
         ex = solve_exact(t, K)
         for k in range(1, K + 1):
             assert gr.entropy_bits(k) == pytest.approx(ex.entropy_bits(k), abs=1e-9)
-            validate_summary_tree(gr.reconstruct(k), t, strict_classes=True)
+            s = gr.reconstruct(k)
+            validate_summary_tree(s, t)
+            assert_group_classes(s, t)

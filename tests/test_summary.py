@@ -40,7 +40,7 @@ def test_members_match_sorted_reference():
         trees = [tb.reconstruct(k) for tb in (solve_exact(t, K), solve_greedy(t, K))
                  for k in range(1, tb.max_k + 1)]
         ap = solve_approx(t, max(K, n), 0.5)
-        padded += ap.max_k - ap.tables.max_k
+        padded += len(ap.trees) - ap.tables.max_k
         for s in trees + ap.trees:
             assert [nd.members for nd in s.nodes] == [reference_members(nd, t) for nd in s.nodes]
     assert padded > 100  # approx trees past the reduced size come from _pad_to_k
