@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,10 @@ class TestDiscrepancyRound:
     def test_invariants_on_random_trees(self, recs):
         t = make_tree(recs)
         for w0 in (1, 2, 7, 40):
+            if not math.isfinite(w0 / t.W):  # e.g. a lone 2.2e-308 root with w0=7
+                with pytest.raises(ValueError, match="too small to rescale"):
+                    rescale(t, w0)
+                continue
             rt = discrepancy_round(rescale(t, w0))
             rt.check()
             assert int(rt.w_rounded.sum()) == w0
