@@ -16,8 +16,8 @@ descending chains of zero-weight nodes are recorded so the solver can
 shift tables across them in O(K) instead of sweeping every chain node.
 
 The DP is the exact solver's :class:`DPTables`, built on the reduced
-tree with its chains.  Its rebuilt nodes are mapped back to the input
-tree in place and padded to k nodes; the rounded entropy scores those
+tree with its chains.  Every node it rebuilds becomes a new node of the
+input tree, padded to k nodes; the rounded entropy scores those
 final nodes with :func:`summary.node_weight` over the rounded weights.
 An epsilon so small that W0 reaches 2**53, or that float64 rounding
 already breaks :meth:`RoundedTree.check` or moves the rounded total off
@@ -28,7 +28,7 @@ overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy_core import _terms
@@ -269,26 +269,19 @@ class ApproxResult:
 def _map_to_original(
     nodes: list[SummaryNode], red: ReducedTree, base: CanonicalTree
 ) -> list[SummaryNode]:
-    """Translate reduced-tree summary nodes, in place, back to the input tree."""
-    ol = red.orig_label
-    for i, nd in enumerate(nodes):
-        if nd.kind == "group":
-            roots: list[int] = []
-            for c in nd.child_roots:
-                oc = int(ol[c])
-                if oc:
-                    roots.append(oc)
-                else:
-                    roots.extend(int(x) for x in red.placeholder_roots[c])
-            nodes[i] = summary_node(base, int(ol[nd.anchor]), roots, nd.parent)
-        elif ol[nd.anchor]:
-            nd.anchor = int(ol[nd.anchor])
-            nd.weight = float(node_weight(nd, base.weight, base.size))
-        else:  # a placeholder stands for the zero-sized children it removed
-            roots = list(red.placeholder_roots[nd.anchor])
-            parent_orig = int(ol[red.tree.parent[nd.anchor]])
-            nodes[i] = summary_node(base, parent_orig, roots, nd.parent)
-    return nodes
+    """Rebuild reduced-tree summary nodes as nodes of the input tree.
+
+    A root c stands for ``orig_label[c]`` when kept, and for the zero-sized
+    children it removed when a placeholder; a kept singleton stays alone.
+    """
+    ol = red.orig_label.tolist()
+    out = []
+    for nd in nodes:
+        a = nd.anchor
+        cs = () if nd.kind == "singleton" and ol[a] else nd.child_roots or (a,)
+        rs = [x for c in cs for x in ([ol[c]] if ol[c] else red.placeholder_roots[c].tolist())]
+        out.append(summary_node(base, ol[a] or ol[red.tree.parent[a]], rs, nd.parent))
+    return out
 
 
 def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: CanonicalTree) -> None:
@@ -296,42 +289,30 @@ def _pad_to_k(nodes: list[SummaryNode], k: int, red: ReducedTree, base: Canonica
 
     Only splits whose separated piece carries zero rounded weight are
     taken, so the rounded entropy (and with it the optimality of the
-    tree under the rounded weights) is preserved.
+    tree under the rounded weights) is preserved.  A split replaces only
+    node i and appends its piece, so one front-to-back pass meets the
+    splits in the order a rescan from node 0 would.
     """
     s_r = red.rounded.s_rounded
     w_r = red.rounded.w_rounded
+    i = 0
     while len(nodes) < k:
-        done = False
-        for i, nd in enumerate(nodes):
-            if nd.kind == "group":
-                zero_roots = [c for c in nd.child_roots if s_r[c] == 0]
-                if not zero_roots:
-                    continue
-                c = zero_roots[0]
-                rest = tuple(x for x in nd.child_roots if x != c)
-                piece = summary_node(base, nd.anchor, (c,), nd.parent)
-                if len(rest) == 1:
-                    nodes[i] = summary_node(base, nd.anchor, rest, nd.parent)
-                else:
-                    nd.child_roots = rest
-                    nd.weight -= float(base.size[c])
-                nodes.append(piece)
-                done = True
-                break
-            if nd.kind == "subtree":
-                y = nd.anchor
-                if int(base.count[y]) < 2:
-                    continue
-                tail = int(s_r[y]) - int(w_r[y])
-                if int(w_r[y]) != 0 and tail != 0:
-                    continue
-                kids = list(base.children(y))
-                nodes[i] = summary_node(base, y, (), nd.parent)
-                nodes.append(summary_node(base, y, kids, i))
-                done = True
-                break
-        if not done:
+        if i == len(nodes):
             raise InvariantError(f"cannot pad summary tree to {k} nodes")
+        nd = nodes[i]
+        zero = [c for c in nd.child_roots if s_r[c] == 0]
+        y = nd.anchor
+        if zero:
+            c = zero[0]
+            rest = tuple(x for x in nd.child_roots if x != c)
+            nodes[i] = (replace(nd, weight=nd.weight - float(base.size[c]), child_roots=rest)
+                        if len(rest) > 1 else summary_node(base, y, rest, nd.parent))
+            nodes.append(summary_node(base, y, (c,), nd.parent))
+        elif nd.kind == "subtree" and (w_r[y] == 0 or s_r[y] == w_r[y]):
+            nodes[i] = summary_node(base, y, (), nd.parent)
+            nodes.append(summary_node(base, y, list(base.children(y)), i))
+        else:
+            i += 1
 
 
 def solve_approx(t: CanonicalTree, K: int, epsilon: float) -> ApproxResult:

@@ -102,6 +102,8 @@ class DPTables:
     ):
         if K < 1:
             raise ValueError("K must be >= 1")
+        if mode not in ("exact", "greedy"):
+            raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
         self.tree = tree
         self.K = K
         self.mode = mode

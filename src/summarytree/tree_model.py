@@ -81,8 +81,8 @@ def build_tree(records: Iterable[Record]) -> InputTree:
 
     Raises:
         TreeError: duplicate id, unknown parent, zero or multiple roots,
-            cycle, negative weight, or a total weight that is zero or
-            overflows.
+            cycle, a weight that is negative or that ``float()`` rejects,
+            or a total weight that is zero or overflows.
     """
     recs = list(records)
     if not recs:
@@ -93,7 +93,13 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     index[None] = index[""] = -1
     # An unknown parent maps to n, which _checked reports.
     parent_idx = np.fromiter(map(index.get, parent_ids, repeat(n)), np.int64, n)
-    return _checked(ids, parent_idx, np.fromiter(map(float, weights), np.float64, n), parent_ids)
+    rest = iter(weights)
+    try:
+        w = np.fromiter(map(float, rest), np.float64, n)
+    except (TypeError, ValueError, OverflowError):  # rest stops just past the rejected weight
+        i = n - 1 - sum(1 for _ in rest)
+        raise TreeError(f"weight {weights[i]!r} for id {ids[i]!r} is not a float") from None
+    return _checked(ids, parent_idx, w, parent_ids)
 
 
 def from_arrays(
@@ -107,9 +113,17 @@ def from_arrays(
     root.  When ``ids`` is omitted, zero-padded decimal ids are generated
     so that lexicographic and numeric order coincide.  Runs the same
     validation as :func:`build_tree`, and also rejects arrays of
-    different lengths.
+    different lengths and parents that are not int64 integers.
     """
-    parent_idx = np.array(parents, dtype=np.int64)
+    parent_idx = np.asarray(parents)
+    if parent_idx.dtype.kind != "i":  # checked first: the cast would truncate or wrap
+        try:
+            p = parent_idx.astype(np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise TreeError("parent indices must be integers") from None
+        if not (np.isfinite(p) & (p == np.trunc(p)) & (abs(p) < 2.0**63)).all():
+            raise TreeError("parent indices must be integers in the int64 range")
+    parent_idx = parent_idx.astype(np.int64)
     weights = np.array(weights, dtype=np.float64)
     n = parent_idx.size
     given = ids is not None
@@ -408,7 +422,10 @@ def read_csv(path) -> InputTree:
 def read_json(path) -> InputTree:
     """Parse the nested JSON format ``{"id":..., "weight":..., "children":[...]}``."""
     with open(path, encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise TreeError("JSON nesting is too deep to parse; write the tree as CSV") from None
     records: list[Record] = []
     stack = [(doc, None)]
     while stack:
@@ -416,7 +433,7 @@ def read_json(path) -> InputTree:
         if not isinstance(node, dict) or "id" not in node or "weight" not in node:
             raise TreeError("JSON nodes need 'id' and 'weight' fields")
         node_id = str(node["id"])
-        records.append((node_id, parent_id, float(node["weight"])))
+        records.append((node_id, parent_id, node["weight"]))
         kids = node.get("children", [])
         if not isinstance(kids, list):
             raise TreeError(f"'children' of {node_id!r} must be a list")

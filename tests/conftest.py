@@ -56,6 +56,12 @@ def star_tree(root_weight, leaf_weights) -> CanonicalTree:
     return make_tree(recs)
 
 
+def deep_json_chain(depth: int) -> str:
+    """A nested-JSON tree that is a path of ``depth`` + 1 unit-weight nodes."""
+    head = "".join(f'{{"id": "n{i}", "weight": 1.0, "children": [' for i in range(depth))
+    return head + f'{{"id": "n{depth}", "weight": 1.0}}' + "]}" * depth
+
+
 @pytest.fixture
 def p4() -> CanonicalTree:
     """Unit-weight path of four nodes; best 2-node split is (1, 3)."""

@@ -14,6 +14,8 @@ from summarytree import (
     validate_summary_tree,
 )
 from summarytree.approx_solver import discrepancy_round, reduce_tree, rescale
+from summarytree.summary import (InvariantError, SummaryTree, attach_members, node_weight,
+                                 summary_node)
 from summarytree.tree_model import from_arrays
 from tests.conftest import assert_canonical, make_tree, path_tree, star_tree, tree_records
 
@@ -374,3 +376,92 @@ class TestSolveApprox:
             solve_approx(p4, 4, 0.0)
         with pytest.raises(ValueError):
             solve_approx(p4, 0, 0.5)
+
+
+def reference_map_to_original(nodes, red, base):
+    """Map reduced-tree nodes back by editing them in place, as solve_approx once did."""
+    ol = red.orig_label
+    for i, nd in enumerate(nodes):
+        if nd.kind == "group":
+            roots = []
+            for c in nd.child_roots:
+                oc = int(ol[c])
+                if oc:
+                    roots.append(oc)
+                else:
+                    roots.extend(int(x) for x in red.placeholder_roots[c])
+            nodes[i] = summary_node(base, int(ol[nd.anchor]), roots, nd.parent)
+        elif ol[nd.anchor]:
+            nd.anchor = int(ol[nd.anchor])
+            nd.weight = float(node_weight(nd, base.weight, base.size))
+        else:  # a placeholder stands for the zero-sized children it removed
+            roots = list(red.placeholder_roots[nd.anchor])
+            parent_orig = int(ol[red.tree.parent[nd.anchor]])
+            nodes[i] = summary_node(base, parent_orig, roots, nd.parent)
+    return nodes
+
+
+def reference_pad_to_k(nodes, k, red, base):
+    """Pad by rescanning from node 0 after every split, as solve_approx once did."""
+    s_r = red.rounded.s_rounded
+    w_r = red.rounded.w_rounded
+    while len(nodes) < k:
+        done = False
+        for i, nd in enumerate(nodes):
+            if nd.kind == "group":
+                zero_roots = [c for c in nd.child_roots if s_r[c] == 0]
+                if not zero_roots:
+                    continue
+                c = zero_roots[0]
+                rest = tuple(x for x in nd.child_roots if x != c)
+                piece = summary_node(base, nd.anchor, (c,), nd.parent)
+                if len(rest) == 1:
+                    nodes[i] = summary_node(base, nd.anchor, rest, nd.parent)
+                else:
+                    nd.child_roots = rest
+                    nd.weight -= float(base.size[c])
+                nodes.append(piece)
+                done = True
+                break
+            if nd.kind == "subtree":
+                y = nd.anchor
+                if int(base.count[y]) < 2:
+                    continue
+                tail = int(s_r[y]) - int(w_r[y])
+                if int(w_r[y]) != 0 and tail != 0:
+                    continue
+                kids = list(base.children(y))
+                nodes[i] = summary_node(base, y, (), nd.parent)
+                nodes.append(summary_node(base, y, kids, i))
+                done = True
+                break
+        if not done:
+            raise InvariantError(f"cannot pad summary tree to {k} nodes")
+
+
+def zero_heavy_tree(rng):
+    """n in 4..60, a random half of the weights zero, the rest Pareto with shape 0.6."""
+    n = int(rng.integers(4, 61))
+    parents = np.concatenate(([-1], rng.integers(0, np.arange(1, n))))
+    weights = rng.pareto(0.6, n)
+    weights[rng.permutation(n)[: n // 2]] = 0.0
+    return canonicalize(from_arrays(parents, weights))
+
+
+def node_fields(nodes):
+    return [(nd.kind, nd.anchor, nd.parent, nd.weight, nd.child_roots, nd.members) for nd in nodes]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_padded_trees_match_reference_node_by_node(seed):
+    """Every approx tree equals the in-place map and restart padding, weights to the bit."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        t = zero_heavy_tree(rng)
+        ap = solve_approx(t, int(rng.integers(4, 41)), float(rng.choice([1.0, 3.0, 8.0])))
+        for k, tree in enumerate(ap.trees, start=1):
+            rebuilt = ap.tables.rebuild(min(k, ap.tables.max_k))
+            nodes = reference_map_to_original(rebuilt, ap.reduced, t)
+            reference_pad_to_k(nodes, k, ap.reduced, t)
+            want = attach_members(SummaryTree(k, 0.0, t.W, nodes), t)
+            assert node_fields(tree.nodes) == node_fields(want.nodes)

@@ -19,7 +19,7 @@ from summarytree import (
 )
 from summarytree.cli import emit_dot, run
 from summarytree.summary import InvariantError, SummaryNode, SummaryTree
-from tests.conftest import make_tree, path_tree
+from tests.conftest import deep_json_chain, make_tree, path_tree
 
 GOLDEN = Path(__file__).with_name("golden")
 # Golden inputs and their K: odd ids (non-ASCII, astral, quote, backslash,
@@ -226,6 +226,24 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: input:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [('{"id": "r", "weight": null}', "weight None for id 'r' is not a float"),
+         ('{"id": "r", "weight": 1, "children": [{"id": "a", "weight": [1]}]}',
+          "weight [1] for id 'a' is not a float"),
+         ('{"id": "r", "weight": 1' + "0" * 400 + "}",
+          "weight 1" + "0" * 400 + " for id 'r' is not a float"),
+         (deep_json_chain(3000), "JSON nesting is too deep to parse; write the tree as CSV")],
+        ids=["null", "list", "huge", "deep"],
+    )
+    def test_bad_json_is_one_error_line(self, tmp_path, doc, reason):
+        # A subprocess, so that a traceback would reach the captured stderr.
+        p = tmp_path / "bad.json"
+        p.write_text(doc, encoding="utf-8")
+        proc = _run_cli_process(["--input", str(p), "-K", "2"], timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: input: {reason}\n" and proc.stdout == ""
 
     def test_epsilon_past_exact_rounding_is_input_error(self, path3_csv, capsys):
         # W0 = 6.3e15 is below 2**53, yet the float64 prefix sums of the

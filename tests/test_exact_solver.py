@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from summarytree import (
+    DPTables,
     brute_force_opt,
     canonicalize,
     from_arrays,
@@ -163,6 +164,11 @@ class TestSmallInstances:
         tb = solve_exact(gap7, 4)
         for v in range(1, gap7.n + 1):
             assert tb.value(v, 1) == pytest.approx(_h(float(gap7.size[v]), gap7.W), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["greedyy", None, "Exact", ""])
+    def test_unknown_mode_rejected(self, p4, mode):
+        with pytest.raises(ValueError, match="mode"):
+            DPTables(p4, 2, mode=mode)
 
     def test_value_range_checked(self, p4):
         tb = solve_exact(p4, 2)

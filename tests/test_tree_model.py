@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from summarytree import TreeError, build_tree, canonicalize, from_arrays, read_csv, read_json
-from tests.conftest import assert_canonical, make_tree, tree_records
+from tests.conftest import assert_canonical, deep_json_chain, make_tree, tree_records
 
 
 class TestBuildTree:
@@ -59,6 +59,13 @@ class TestBuildTree:
         with pytest.raises(TreeError):
             build_tree([])
 
+    @pytest.mark.parametrize("weight", [None, [1], "abc", {}, 10**400])
+    def test_weight_float_rejects_is_tree_error(self, weight):
+        with pytest.raises(TreeError, match=r"weight .* for id 'b' is not a float"):
+            build_tree([("r", None, 1), ("a", "r", 2), ("b", "r", weight), ("c", "r", None)])
+        with pytest.raises(TreeError, match="id 'r'"):
+            build_tree([("r", None, weight)])
+
 
 class TestFromArrays:
     def test_matches_build_tree(self):
@@ -92,6 +99,26 @@ class TestFromArrays:
     def test_three_cycle_off_root_rejected(self):
         with pytest.raises(TreeError, match="cycle"):
             from_arrays([-1, 3, 1, 2], [1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0.7, 0.2], [-1.5, 0, 0], [-1, 0, 1e30], [-1, 0, float("nan")], [-1, 0, None],
+         [-1, 0, 2**63], [-1, 0, 10**400], [-1, 0, "a"],
+         np.array([0, 0, 2**64 - 1], dtype=np.uint64), np.array([-1.0, 0.0, 2.0**63])],
+    )
+    def test_non_integer_parent_rejected(self, parents):
+        with pytest.raises(TreeError, match="integer"):
+            from_arrays(parents, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0, 1], [-1.0, 0.0, 1.0], np.array([-1, 0, 1], dtype=np.int32),
+         np.array([-1.0, 0.0, 1.0]), [-1, False, True]],
+    )
+    def test_integral_parents_accepted(self, parents):
+        t = from_arrays(parents, [1.0, 1.0, 1.0])
+        assert t.parent_idx.dtype == np.int64
+        assert t.parent_idx.tolist() == [int(x) for x in parents]
 
 
 class TestCanonicalize:
@@ -236,10 +263,12 @@ class TestFileFormats:
 
     def test_deep_json_chain(self, tmp_path):
         depth = 300
-        text = "".join(
-            '{"id": "n%d", "weight": 1.0, "children": [' % i for i in range(depth)
-        )
-        text += '{"id": "n%d", "weight": 1.0}' % depth + "]}" * depth
         p = tmp_path / "deep.json"
-        p.write_text(text, encoding="utf-8")
+        p.write_text(deep_json_chain(depth), encoding="utf-8")
         assert read_json(p).n == depth + 1
+
+    def test_too_deep_json_is_tree_error(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text(deep_json_chain(3000), encoding="utf-8")
+        with pytest.raises(TreeError, match="too deep.*CSV"):
+            read_json(p)
