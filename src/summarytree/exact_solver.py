@@ -23,8 +23,14 @@ padded with -inf: extending the forest tables over the first l subtrees
 to cover subtree l+1 is one max-plus combination of every row with that
 subtree's table, plus a fresh "absorb everything so far" entry at forest
 size 1 in each row.  A near-prefix row idles at child j, which its seed
-already holds.  Each row adds its weights and forms its entries exactly
-as a sweep of its class alone would, so stacking changes no value.
+already holds.  The rows, the seeded children and the idle positions
+depend only on the degree d, K and the mode, so the fill sweeps every
+node of one height and one degree as one group: a (B, R, width) table
+over B nodes and R classes, with the child tables padded with -inf to
+the longest.  Groups go in increasing height, so every child table is
+filled before it is read.  Each entry of each row takes the same float
+operations, in the same order, as a sweep of its node and class alone,
+so grouping and stacking change no value and no tie-break.
 Children v_1 .. v_{d_v - K + 1} can never be split off within a K-node
 budget, so they are absorbed into every seed unprocessed; this, together
 with the table caps at K-1, is what keeps the prefix-class sweep cost
@@ -33,8 +39,8 @@ within the 2Kn pair-cost budget that ``DPTables.pair_cost`` tracks.
 Ties are broken deterministically: prefix class first, then near-prefix
 classes by increasing j, then the smallest left-table split inside a
 max-plus combination.  The fill records the winning class of every
-table entry, so reconstruction replays only that one class, in record
-mode, to recover the split.
+table entry, so reconstruction replays only that one class, as the same
+group sweep over one node in record mode, to recover the split.
 
 One object, :class:`DPTables`, fills and reconstructs the tables for all
 three solvers: exact (:func:`solve_exact`), greedy (:func:`solve_greedy`)
@@ -51,13 +57,16 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy_core import _term, _terms
+from .entropy_core import _fresh_terms, _terms
 from .summary import InvariantError, SummaryNode, SummaryTree, attach_members, summary_node
 from .tree_model import CanonicalTree
 
 __all__ = ["DPTables", "solve_exact", "solve_greedy"]
 
 NEG_INF = float("-inf")
+# Bytes of temporaries a group sweep may hold at once, as _fill_group
+# estimates them; larger groups are swept in chunks.
+_SWEEP_BYTES = 1 << 20
 
 
 @dataclass
@@ -120,7 +129,7 @@ class DPTables:
         self.caps = caps
         self.offs = offs
         # A child's table as its parent's sweep reads it: sizes up to K-1.
-        self._view_end = offs + np.minimum(K - 1, caps)
+        self._view_len = np.minimum(K - 1, caps)
         self.max_k = int(caps[1])
         self.F = np.empty(int(caps.sum()), dtype=np.float64)
         # Candidate class that attains each F entry: 0 for the prefix
@@ -137,20 +146,41 @@ class DPTables:
     def _solve(self) -> None:
         t = self.tree
         deg = t.degree
-        leaves = np.flatnonzero(deg[1:] == 0) + 1
-        self.F[self.offs[leaves]] = self.ps[leaves]
+        caps = self.caps
+        has = caps > 0
+        self.F[self.offs[has]] = self.ps[has]  # chain tops are overwritten below
         # Interior chain nodes alone have no table, and are not filled.
-        filled = (deg > 0) & (self.caps > 0)
+        filled = (deg > 0) & has
         chains = self.chains
         swept = filled.copy()
         swept[list(chains)] = False
         self.pair_cost = self._pair_cost(swept) if self.K > 1 else 0
-        for v in np.flatnonzero(filled)[::-1].tolist():
-            ch = chains.get(v)
-            if ch is not None:
-                self._fill_chain_top(ch)
-                continue
-            self._fill_node(v)
+
+        # Heights, one depth level at a time from the bottom: labels are
+        # breadth-first, so each level is a consecutive label range.
+        height = np.zeros(t.n + 1, dtype=np.int64)
+        starts = (np.searchsorted(t.depth[1:], np.arange(int(t.depth[t.n]) + 2)) + 1).tolist()
+        for lo, hi in zip(starts[-2:0:-1], starts[:1:-1]):
+            np.maximum.at(height, t.parent[lo:hi], height[lo:hi] + 1)
+
+        # Groups of one height and one degree, lowest height first, so that
+        # every table a group reads is filled.  Chain tops, which read their
+        # chain's bottom instead of their children, take degree key 0.
+        # Within a group nodes go by count, so that a chunk pads little.
+        nodes = np.flatnonzero(filled)
+        key = np.where(swept[nodes], deg[nodes], 0)
+        order = np.lexsort((t.count[nodes], key, height[nodes]))
+        nodes, key, hgt = nodes[order], key[order], height[nodes][order]
+        new = np.ones(nodes.shape[0], dtype=bool)
+        new[1:] = (np.diff(key) != 0) | (np.diff(hgt) != 0)
+        firsts = np.flatnonzero(new).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [nodes.shape[0]]):
+            d = int(key[lo])
+            if d == 0:
+                for v in nodes[lo:hi].tolist():
+                    self._fill_chain_top(chains[v])
+            elif self.K > 1:
+                self._fill_group(nodes[lo:hi], d)
 
     def _pair_cost(self, swept: np.ndarray) -> int:
         """Sum of min(prefix, K) * min(count, K) over prefix-class combining steps.
@@ -182,11 +212,6 @@ class DPTables:
         if cap_v > s:
             self.F[off_v + s : off_v + cap_v] = self.F[off_u : off_u + cap_v - s]
 
-    def _child_views(self, fc: int, d: int):
-        F = self.F
-        ends = self._view_end[fc : fc + d].tolist()
-        return [F[o:e] for o, e in zip(self.offs[fc : fc + d].tolist(), ends)]
-
     def _sweep_start(self, d: int) -> int:
         """First child position a sweep combines; earlier children seed it."""
         return max(1, d - self._span + 1)
@@ -197,98 +222,130 @@ class DPTables:
             return (0,)
         return (0, *range(max(3, d - self.K + 3), d + 1))
 
-    def _sweep(self, v: int, js: tuple[int, ...], record: bool = False):
-        """Sweep the candidate classes ``js`` of internal node v together.
+    def _fill_group(self, group: np.ndarray, d: int) -> None:
+        """Fill the tables of nodes of degree d whose children are all filled."""
+        js = self._fill_classes(d)
+        R = len(js)
+        K1 = self.K - 1
+        a = self._sweep_start(d)
+        # Bytes of temporaries per node: the (R, lg, lg + lb) max-plus block,
+        # or the (R, lg) table when every child table is one entry wide,
+        # about 64 per running group weight on its way through _fresh_terms,
+        # and the d child weights.  A node of count c has forest tables
+        # below c and child tables of at most c - d entries.
+        c = int(self.tree.count[group].max())
+        lg, lb = min(K1, c - 1), min(K1, c - d)
+        per_node = 8 * (R * ((lg * (lg + lb) if lb > 1 else lg) + 8 * (d - a + 2)) + d)
+        step = max(1, _SWEEP_BYTES // per_node)
+        rows = np.array(js)
+        for i in range(0, group.shape[0], step):
+            vs = group[i : i + step]
+            G = self._sweep_group(vs, js)[0]
+            ncol = self.caps[vs] - 1
+            cols = np.arange(G.shape[2])
+            keep = cols < ncol[:, None]
+            at = (self.offs[vs][:, None] + 1 + cols)[keep]
+            if R == 1:
+                best = G[:, 0]
+            else:
+                # The first row attaining a column's max wins: prefix, then increasing j.
+                self.win[at] = rows[G.argmax(axis=1)][keep]
+                best = G.max(axis=1)
+            self.F[at] = (self.pw[vs][:, None] + best)[keep]
 
+    def _sweep_group(self, vs: np.ndarray, js: tuple[int, ...], record: bool = False):
+        """Sweep the candidate classes ``js`` of the internal nodes ``vs`` as one group.
+
+        The nodes share one degree d, and their child tables are filled.
         ``js[r]`` names row r's class: 0 for the prefix class, j > 0 for
-        the near-prefix class whose group holds child j.  The rows of G,
-        padded with -inf, are the classes' forest tables: G[r, t-1] is
-        the best t-node forest of class ``js[r]``.  Each child position
+        the near-prefix class whose group holds child j.  G[b, r, t-1] is
+        the best t-node forest of class ``js[r]`` at node ``vs[b]``.  Rows
+        and child tables are padded with -inf; max is exact and no +inf
+        appears, so padding changes no entry.  Each child position
         advances every row with one max-plus combination and a fresh
         "absorb everything so far" entry at forest size 1, except the row
         that already holds that child, which idles there.
 
-        Returns (G, steps, base_pos).  With ``record`` (a single class),
-        ``steps`` holds (position, arg) per combining step, where
-        arg[t-2] + 1 is the smallest left forest size h maximizing the
-        t-node forest; ``base_pos`` is 1 when the prefix row starts from
-        child 1's table (empty seed), else 0.
+        Returns (G, steps, base_pos).  The fill passes many nodes; record
+        mode passes one node and one class, and ``steps`` then holds
+        (position, arg) per combining step, where arg[t-2] + 1 is the
+        smallest left forest size h maximizing the t-node forest.
+        ``base_pos`` is 1 when the prefix row starts from child 1's table
+        (empty seed), else 0.
         """
         t = self.tree
         W = self._W
         K1 = self.K - 1
-        d = int(t.degree[v])
-        fc = int(t.first_child[v])
-        sizes = t.size[fc : fc + d]
-        tables = self._child_views(fc, d)
+        B, R = vs.shape[0], len(js)
+        d = int(t.degree[vs[0]])
         a = self._sweep_start(d)
-        seed = float(sizes[: a - 1].sum()) if a > 1 else 0.0
-        R = len(js)
+        children = t.first_child[vs][:, None] + np.arange(d)
+        sizes = t.size[children]
+        # Child tables at positions a..d, -inf padded to each position's longest.
+        kids = children[:, a - 1 :]
+        widths = self._view_len[kids]
+        lbs = widths.max(axis=0).tolist()
+        cols = np.arange(max(lbs))
+        filled = cols < widths[..., None]
+        tabs = np.full(filled.shape, NEG_INF)
+        tabs[filled] = self.F[(self.offs[kids][..., None] + cols)[filled]]
         skips = list(js)  # row r idles at child position skips[r]
-        cum = [seed + float(sizes[j - 1]) if j else seed for j in js]
         base_pos = int(a == 1 and js[0] == 0)  # the prefix row starts from child 1's table
         if base_pos:
             skips[0] = 1
-            cum[0] = float(sizes[0])
+        # Each row's running group weight: its seed, then one child per
+        # position, where adding 0.0 at the row's idle position keeps the
+        # sum (a -0.0 may turn +0.0; both terms are 0).  cumsum adds in
+        # sequence, as one += per position would.
+        run = np.empty((B, R, d - a + 2))
+        run[..., 1:] = sizes[:, None, a - 1 :]
+        seed = sizes[:, : a - 1].sum(axis=1) if a > 1 else 0.0
+        for r, j in enumerate(js):
+            run[:, r, 0] = seed + sizes[:, j - 1] if j else seed
+            if skips[r] >= a:
+                run[:, r, 1 + skips[r] - a] = 0.0
+        if base_pos:
+            run[:, 0, 0] = sizes[:, 0]
+        fresh = _fresh_terms(np.cumsum(run, axis=2), W)
         if base_pos and R == 1:
-            G = tables[0][None]  # a lone row needs no padded copy
+            G = tabs[:, :1, : lbs[0]]  # a lone row needs no padded copy
         else:
-            G = np.full((R, tables[0].shape[0] if base_pos else 1), NEG_INF)
-            G[:, 0] = [_term(x, W) for x in cum]
+            G = np.full((B, R, lbs[0] if base_pos else 1), NEG_INF)
+            G[..., 0] = fresh[..., 0]
             if base_pos:
-                G[0] = tables[0]
+                G[:, 0] = tabs[:, 0, : lbs[0]]
         steps = [] if record else None
         for pos in range(a, d + 1):
             idle = skips.index(pos) if pos in skips else -1
             if idle >= 0 and R == 1:
                 continue
-            B = tables[pos - 1]
-            lg = G.shape[1]
-            lb = B.shape[0]
+            Bt = tabs[:, pos - a, : lbs[pos - a]]
+            lg = G.shape[2]
+            lb = Bt.shape[1]
             w = min(K1, lg + lb)
-            newG = np.empty((R, w))
-            # newG[r, t-1] = max_h G[r, h-1] + B[t-h-1]; arg keeps the smallest h.
+            newG = np.empty((B, R, w))
+            # newG[b, r, t-1] = max_h G[b, r, h-1] + Bt[b, t-h-1]; arg keeps the smallest h.
             if lb == 1:
-                np.add(G[:, : w - 1], B[0], out=newG[:, 1:])
+                np.add(G[..., : w - 1], Bt[:, None], out=newG[..., 1:])
                 arg = np.arange(lg) if record else None
             elif lg == 1:
-                np.add(G, B[: w - 1], out=newG[:, 1:])
+                np.add(G, Bt[:, None, : w - 1], out=newG[..., 1:])
                 arg = np.zeros(lb, dtype=np.int64) if record else None
             else:
-                P = np.empty((R, lg, lg + lb))
+                P = np.empty((B, R, lg, lg + lb))
                 P[..., lb:] = NEG_INF
-                np.add.outer(G, B, out=P[..., :lb])
-                S = P.reshape(R, -1)[:, :-lg].reshape(R, lg, lg + lb - 1)[..., : w - 1]
-                S.max(axis=1, out=newG[:, 1:])
-                arg = S[0].argmax(axis=0) if record else None
+                np.add(G[..., None], Bt[:, None, None], out=P[..., :lb])
+                S = P.reshape(B, R, -1)[..., :-lg].reshape(B, R, lg, lg + lb - 1)[..., : w - 1]
+                S.max(axis=2, out=newG[..., 1:])
+                arg = S[0, 0].argmax(axis=0) if record else None
             if record:
                 steps.append((pos, arg))
-            s = float(sizes[pos - 1])
-            for r in range(R):
-                if r != idle:
-                    cum[r] += s
-                    newG[r, 0] = _term(cum[r], W)
+            newG[..., 0] = fresh[..., 1 + pos - a]
             if idle >= 0:
-                newG[idle, :lg] = G[idle]
-                newG[idle, lg:] = NEG_INF
+                newG[:, idle, :lg] = G[:, idle]
+                newG[:, idle, lg:] = NEG_INF
             G = newG
         return G, steps, base_pos
-
-    def _fill_node(self, v: int) -> None:
-        off_v = self.offs[v]
-        cap_v = int(self.caps[v])
-        self.F[off_v] = self.ps[v]
-        if cap_v == 1:
-            return
-        js = self._fill_classes(int(self.tree.degree[v]))
-        G = self._sweep(v, js)[0]
-        best = G[0, : cap_v - 1]
-        if len(js) > 1:
-            G = G[:, : cap_v - 1]
-            # The first row attaining a column's max wins: prefix, then increasing j.
-            self.win[off_v + 1 : off_v + cap_v] = np.array(js)[G.argmax(axis=0)]
-            best = G.max(axis=0)
-        self.F[off_v + 1 : off_v + cap_v] = self.pw[v] + best
 
     # -- reconstruction --------------------------------------------------- #
 
@@ -366,8 +423,8 @@ class DPTables:
         fc = int(t.first_child[v])
         kf = kk - 1
         j = int(self.win[self.offs[v] + kf])
-        G, steps, base_pos = self._sweep(v, (j,), record=True)
-        got = self.pw[v] + (G[0, kf - 1] if kf <= G.shape[1] else NEG_INF)
+        G, steps, base_pos = self._sweep_group(np.array([v]), (j,), record=True)
+        got = self.pw[v] + (G[0, 0, kf - 1] if kf <= G.shape[2] else NEG_INF)
         want = self.value(v, kk)
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise InvariantError(

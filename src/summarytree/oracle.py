@@ -9,8 +9,8 @@ maximum is the empirical check that the restriction loses nothing.
 Single-child groups are equivalent to collapsing that child's subtree,
 and both describe the same partition of the input nodes, so groups are
 enumerated only at sizes >= 2; this makes every distinct summary tree
-appear exactly once.  An independent generating-polynomial counter
-(:func:`count_summary_trees`) cross-checks the enumeration count.
+appear exactly once.  The test suite cross-checks the enumeration count
+against an independent generating-polynomial counter.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .entropy_core import _term
 from .summary import SummaryNode, SummaryTree, attach_members
@@ -29,7 +27,6 @@ __all__ = [
     "BruteForceResult",
     "enumerate_all",
     "brute_force_opt",
-    "count_summary_trees",
 ]
 
 # Largest tree the oracle takes: the enumeration grows exponentially in n.
@@ -213,41 +210,3 @@ def brute_force_opt(t: CanonicalTree, k: int) -> BruteForceResult:
     if best_recs is None:
         raise ValueError(f"no {k}-node summary trees exist (n = {t.n})")
     return BruteForceResult(best, _to_summary_tree(t, best_recs), best_np, best_p)
-
-
-def count_summary_trees(t: CanonicalTree) -> list[int]:
-    """Independent count of k-node summary trees for k = 1..n.
-
-    Computed with generating polynomials (one coefficient vector per
-    subtree, combined by convolution) rather than by enumeration, so it
-    cross-checks :func:`enumerate_all` for both duplicates and omissions.
-    """
-    _check_cap(t)
-    memo: dict[int, np.ndarray] = {}
-
-    def poly(v: int) -> np.ndarray:
-        got = memo.get(v)
-        if got is not None:
-            return got
-        nv = int(t.count[v])
-        out = np.zeros(nv + 1, dtype=np.int64)
-        out[1] = 1
-        if nv > 1:
-            kids = list(t.children(v))
-            kid_polys = {c: poly(c) for c in kids}
-            for m in [0] + list(range(2, len(kids) + 1)):
-                for other in combinations(kids, m):
-                    other_set = set(other)
-                    acc = np.ones(1, dtype=np.int64)
-                    for c in kids:
-                        if c not in other_set:
-                            acc = np.convolve(acc, kid_polys[c][1:])
-                    shift = 1 + (1 if m else 0) + (len(kids) - m)
-                    hi = min(nv + 1, shift + acc.shape[0])
-                    if shift < hi:
-                        out[shift:hi] += acc[: hi - shift]
-        memo[v] = out
-        return out
-
-    root = poly(1)
-    return [int(root[k]) for k in range(1, t.n + 1)]

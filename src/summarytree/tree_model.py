@@ -113,7 +113,8 @@ def from_arrays(
     root.  When ``ids`` is omitted, zero-padded decimal ids are generated
     so that lexicographic and numeric order coincide.  Runs the same
     validation as :func:`build_tree`, and also rejects arrays of
-    different lengths and parents that are not int64 integers.
+    different lengths, parents that are not int64 integers and weights
+    that do not convert to float64.
     """
     parent_idx = np.asarray(parents)
     if parent_idx.dtype.kind != "i":  # checked first: the cast would truncate or wrap
@@ -124,7 +125,10 @@ def from_arrays(
         if not (np.isfinite(p) & (p == np.trunc(p)) & (abs(p) < 2.0**63)).all():
             raise TreeError("parent indices must be integers in the int64 range")
     parent_idx = parent_idx.astype(np.int64)
-    weights = np.array(weights, dtype=np.float64)
+    try:
+        weights = np.array(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise TreeError("weights must be numbers that convert to float64") from None
     n = parent_idx.size
     given = ids is not None
     ids = tuple(ids) if given else tuple(map(f"n{{:0{len(str(max(n - 1, 0)))}d}}".format, range(n)))
@@ -433,7 +437,10 @@ def read_json(path) -> InputTree:
         if not isinstance(node, dict) or "id" not in node or "weight" not in node:
             raise TreeError("JSON nodes need 'id' and 'weight' fields")
         node_id = str(node["id"])
-        records.append((node_id, parent_id, node["weight"]))
+        weight = node["weight"]
+        if isinstance(weight, (bool, str)):  # float() would take them
+            raise TreeError(f"weight {weight!r} for id {node_id!r} is not a JSON number")
+        records.append((node_id, parent_id, weight))
         kids = node.get("children", [])
         if not isinstance(kids, list):
             raise TreeError(f"'children' of {node_id!r} must be a list")

@@ -234,8 +234,14 @@ class TestErrors:
           "weight [1] for id 'a' is not a float"),
          ('{"id": "r", "weight": 1' + "0" * 400 + "}",
           "weight 1" + "0" * 400 + " for id 'r' is not a float"),
-         (deep_json_chain(3000), "JSON nesting is too deep to parse; write the tree as CSV")],
-        ids=["null", "list", "huge", "deep"],
+         (deep_json_chain(3000), "JSON nesting is too deep to parse; write the tree as CSV"),
+         ('{"id": "r", "weight": true, "children": [{"id": "a", "weight": 2}]}',
+          "weight True for id 'r' is not a JSON number"),
+         ('{"id": "r", "weight": 1, "children": [{"id": "a", "weight": false}]}',
+          "weight False for id 'a' is not a JSON number"),
+         ('{"id": "r", "weight": 1, "children": [{"id": "a", "weight": "2"}]}',
+          "weight '2' for id 'a' is not a JSON number")],
+        ids=["null", "list", "huge", "deep", "true", "false", "string"],
     )
     def test_bad_json_is_one_error_line(self, tmp_path, doc, reason):
         # A subprocess, so that a traceback would reach the captured stderr.

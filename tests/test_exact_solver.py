@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from summarytree import (
+    CanonicalTree,
     DPTables,
     brute_force_opt,
     canonicalize,
@@ -15,7 +16,7 @@ from summarytree import (
     solve_greedy,
     validate_summary_tree,
 )
-from summarytree.entropy_core import _term, _terms
+from summarytree.entropy_core import _fresh_terms, _term, _terms
 from tests.conftest import (
     assert_group_classes,
     extreme_tree_records,
@@ -316,6 +317,127 @@ class TestStackedSweep:
             self.check(tables)
             chains += len(tables.chains)
         assert chains > 20
+
+    @staticmethod
+    def _record_groups(monkeypatch) -> list:
+        """Capture the node groups that the fill sweeps."""
+        groups = []
+        sweep = DPTables._sweep_group
+
+        def spy(self, vs, js, record=False):
+            groups.append(vs.copy())
+            return sweep(self, vs, js, record)
+
+        monkeypatch.setattr(DPTables, "_sweep_group", spy)
+        return groups
+
+    @staticmethod
+    def _padded_tree(m: int, rng) -> CanonicalTree:
+        # m nodes of degree 3 and height 3 under one root: each holds a
+        # path of 3 nodes and two stars of 0..14 leaves, so the child
+        # tables of one group differ in length.
+        parents, weights = [-1], [1.0]
+
+        def add(parent):
+            parents.append(parent)
+            weights.append(float(rng.integers(0, 5)))
+            return len(parents) - 1
+
+        for _ in range(m):
+            v = add(0)
+            add(add(add(v)))
+            for _ in range(2):
+                star = add(v)
+                for _ in range(int(rng.integers(0, 15))):
+                    add(star)
+        return canonicalize(from_arrays(parents, weights))
+
+    def test_padded_groups_of_many_nodes(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        t = self._padded_tree(60, rng)
+        groups = self._record_groups(monkeypatch)
+        for K in (4, 9, 16):
+            groups.clear()
+            tables = solve_exact(t, K)
+            self.check(tables)
+            padded = [
+                g for g in groups
+                if len(g) >= 30
+                and len({min(K - 1, int(tables.caps[c])) for v in g.tolist() for c in t.children(v)}) > 2
+            ]
+            assert padded, "no large group with child tables of different lengths"
+
+    def test_groups_split_across_chunks(self, monkeypatch):
+        from summarytree import exact_solver
+
+        rng = np.random.default_rng(47)
+        trees = [self._padded_tree(40, rng)]
+        trees += [canonicalize(random_tree(600, shape="uniform", seed=rng)) for _ in range(2)]
+        whole = [(solve_exact(t, 8), solve_greedy(t, 8)) for t in trees]
+        monkeypatch.setattr(exact_solver, "_SWEEP_BYTES", 3000)
+        groups = self._record_groups(monkeypatch)
+        for t, (ex, gr) in zip(trees, whole):
+            height = np.zeros(t.n + 1, dtype=np.int64)
+            for v in range(t.n, 1, -1):  # children carry larger labels
+                height[t.parent[v]] = max(height[t.parent[v]], height[v] + 1)
+            for solver, ref in ((solve_exact, ex), (solve_greedy, gr)):
+                groups.clear()
+                tables = solver(t, 8)
+                self.check(tables)
+                assert np.array_equal(tables.F.view(np.int64), ref.F.view(np.int64))
+                assert np.array_equal(tables.win, ref.win)
+                # A group is one (height, degree); some group was split.
+                keys = [(int(height[g[0]]), int(t.degree[g[0]])) for g in groups]
+                assert len(keys) > len(set(keys))
+
+    @pytest.mark.parametrize("K", [4, 16, 64])
+    def test_uniform_and_40_ary_trees(self, K):
+        rng = np.random.default_rng(48)
+        trees = [
+            canonicalize(random_tree(1500, shape="uniform", seed=rng)),
+            canonicalize(random_tree(1700, shape="fixed-degree", degree=40, seed=rng)),
+            canonicalize(random_tree(900, shape="fixed-degree", degree=40, weights="integer",
+                                     max_weight=2, seed=rng)),
+        ]
+        for t in trees:
+            self.check(solve_exact(t, K))
+            self.check(solve_greedy(t, K))
+
+    def test_row_wise_seed_sum_matches_per_row_sum(self):
+        # A group's seeds are one row-wise sum over a slice of gathered
+        # child weights; each must have the bits of the 1-D sum of that
+        # node's seed children.  The running group weights are one cumsum
+        # per row; each must have the bits of one += per position.
+        rng = np.random.default_rng(49)
+        for length in (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 300, 1000, 2049, 8193, 100_003):
+            size = rng.pareto(1.3, 6 * length + 3) * rng.uniform(0, 1e3)
+            at = rng.integers(0, size.shape[0] - length - 2, 40)[:, None] + np.arange(length + 3)
+            rows = size[at]
+            seeds = rows[:, :length].sum(axis=1)
+            for i in range(rows.shape[0]):
+                assert seeds[i].view(np.int64) == size[at[i, :length]].sum().view(np.int64)
+            run = rows[:, None, : min(length, 40)].copy()
+            got = np.cumsum(run, axis=2)
+            for i in range(rows.shape[0]):
+                acc = float(run[i, 0, 0])
+                for col in range(1, run.shape[2]):
+                    acc += float(run[i, 0, col])
+                    assert float(got[i, 0, col]).hex() == acc.hex()
+
+    def test_fresh_terms_match_term(self):
+        rng = np.random.default_rng(50)
+        W = 1234.5678
+        weights = np.concatenate([
+            rng.uniform(0, W, 20_000),
+            rng.pareto(1.3, 5_000),
+            [0.0, -0.0, W, 5e-324, 1e-310, 2.2250738585072014e-308, W * (1 - 2**-52)],
+        ])
+        got = _fresh_terms(weights.reshape(-1, 1), W).ravel()
+        want = np.array([_term(float(x), W) for x in weights])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert _fresh_terms(np.array([[W, 0.0]]), W).view(np.int64).tolist() == [[0, 0]]
+        tiny = np.array([1e-300, 5e-324])  # against W = 1e10, p is subnormal or 0
+        assert np.array_equal(_fresh_terms(tiny, 1e10), [_term(x, 1e10) for x in tiny.tolist()])
 
 
 class TestOracleEquivalence:

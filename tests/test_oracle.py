@@ -1,17 +1,59 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from summarytree import (
+    CanonicalTree,
     brute_force_opt,
     canonicalize,
     enumerate_all,
     random_tree,
     validate_summary_tree,
 )
-from summarytree.oracle import count_summary_trees
+from summarytree.oracle import _check_cap
 from tests.conftest import make_tree, path_tree, star_tree
 
 H_1_3 = 0.8112781244591328
+
+
+def count_summary_trees(t: CanonicalTree) -> list[int]:
+    """Independent count of k-node summary trees for k = 1..n.
+
+    Reference code for the tests.  Computed with generating polynomials
+    (one coefficient vector per subtree, combined by convolution) rather
+    than by enumeration, so it cross-checks :func:`enumerate_all` for
+    both duplicates and omissions.  It takes trees up to the oracle's cap.
+    """
+    _check_cap(t)
+    memo: dict[int, np.ndarray] = {}
+
+    def poly(v: int) -> np.ndarray:
+        got = memo.get(v)
+        if got is not None:
+            return got
+        nv = int(t.count[v])
+        out = np.zeros(nv + 1, dtype=np.int64)
+        out[1] = 1
+        if nv > 1:
+            kids = list(t.children(v))
+            kid_polys = {c: poly(c) for c in kids}
+            for m in [0] + list(range(2, len(kids) + 1)):
+                for other in combinations(kids, m):
+                    other_set = set(other)
+                    acc = np.ones(1, dtype=np.int64)
+                    for c in kids:
+                        if c not in other_set:
+                            acc = np.convolve(acc, kid_polys[c][1:])
+                    shift = 1 + (1 if m else 0) + (len(kids) - m)
+                    hi = min(nv + 1, shift + acc.shape[0])
+                    if shift < hi:
+                        out[shift:hi] += acc[: hi - shift]
+        memo[v] = out
+        return out
+
+    root = poly(1)
+    return [int(root[k]) for k in range(1, t.n + 1)]
 
 
 class TestEnumeration:

@@ -100,6 +100,13 @@ class TestFromArrays:
         with pytest.raises(TreeError, match="cycle"):
             from_arrays([-1, 3, 1, 2], [1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("weight", ["abc", 10**400, object()], ids=["string", "huge", "object"])
+    def test_weight_that_is_not_a_float64_rejected(self, weight):
+        with pytest.raises(TreeError, match="float64"):
+            from_arrays([-1], [weight])
+        with pytest.raises(TreeError, match="float64"):
+            from_arrays([-1, 0], np.array([1.0, weight], dtype=object))
+
     @pytest.mark.parametrize(
         "parents",
         [[-1, 0.7, 0.2], [-1.5, 0, 0], [-1, 0, 1e30], [-1, 0, float("nan")], [-1, 0, None],
