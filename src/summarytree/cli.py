@@ -5,8 +5,9 @@ violation.  Errors print one machine-parsable line to stderr in the form
 ``error: <category>: <reason>``.
 
 The result JSON is byte for byte what ``json.dump(doc, fh, indent=1)``
-writes; :func:`_write_json` only produces it faster, so the schema and
-the bytes are those of the plain encoder.
+writes for the result document.  :func:`_write_json` writes those bytes
+straight from the summary trees, without building the document, because
+the plain encoder formats large documents in pure Python.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _node_label(tree: SummaryTree, idx: int, ct: CanonicalTree) -> str:
-    """Identifier of a summary node: its representative id, or other:<parent id>."""
-    nd = tree.nodes[idx]
-    if nd.kind == "group":
-        return f"other:{ct.ext(tree.nodes[nd.parent].anchor)}"
-    return ct.ext(nd.anchor)
+def _labels(tree: SummaryTree, ct: CanonicalTree) -> list[str]:
+    """Identifier of each summary node: its representative id, or other:<parent id>."""
+    nodes = tree.nodes
+    return [
+        f"other:{ct.ext(nodes[nd.parent].anchor)}" if nd.kind == "group" else ct.ext(nd.anchor)
+        for nd in nodes
+    ]
 
 
 def _dot_quote(text: str) -> str:
@@ -60,8 +62,7 @@ def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
     DOT strings, with backslashes, quotes and newlines escaped.
     """
     idents = []
-    for i, nd in enumerate(s.nodes):
-        ident = _node_label(s, i, ct)
+    for ident, nd in zip(_labels(s, ct), s.nodes):
         if nd.kind == "group":
             members = sum(int(ct.count[c]) for c in nd.child_roots)
             text = f"other ({members}) ({nd.weight:.12g})"
@@ -80,63 +81,41 @@ def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _result_doc(ct: CanonicalTree, args, trees, entropies, extra: dict) -> dict:
-    results = []
-    for k, (tree, ent) in enumerate(zip(trees, entropies), start=1):
-        nodes = []
-        for i, nd in enumerate(tree.nodes):
-            nodes.append(
-                {
-                    "label": _node_label(tree, i, ct),
-                    "kind": nd.kind,
-                    "members": nd.members,
-                    "weight": nd.weight,
-                    "parent": None if nd.parent < 0 else _node_label(tree, nd.parent, ct),
-                }
-            )
-        entry = {"k": k, "entropy_bits": ent, "nodes": nodes}
-        if "entropy_bits_rounded" in extra:
-            entry["entropy_bits_rounded"] = extra["entropy_bits_rounded"][k - 1]
-        results.append(entry)
-    doc = {
-        "input_id_map": dict(zip(ct.ext_of_label[1:], range(1, ct.n + 1))),
-        "W": ct.W,
-        "K": args.K,
-        "algorithm": args.algorithm,
-        "results": results,
-    }
-    for key in ("epsilon", "w0", "w0_constant"):
-        if key in extra:
-            doc[key] = extra[key]
-    return doc
+def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -> None:
+    """Write the result as ``json.dump(doc, fh, indent=1)`` writes ``doc``, plus a newline.
 
-
-def _write_json(doc: dict, fh: TextIO) -> None:
-    """Write ``doc`` exactly as ``json.dump(doc, fh, indent=1)`` would.
-
-    ``json.dump`` with an indent encodes everything in pure Python.  Here
-    ``json.dumps`` encodes a skeleton whose ``input_id_map`` (never empty)
-    and node ``members`` are ``null``, and the id map and member lists,
-    the bulk of the output, are spliced in with the C string encoder at
-    the indentation ``indent=1`` gives them.  ``"members": null`` occurs
-    only at a placeholder, because a quote inside a string is escaped.
+    ``doc`` holds the id map, ``W``, ``K``, ``algorithm`` and one
+    ``results`` entry per tree; an ``approx`` result adds each entry's
+    ``entropy_bits_rounded`` and, last, ``epsilon``, ``w0`` and
+    ``w0_constant``.  Every piece is formatted as the plain encoder
+    formats it: strings by its C string encoder, and numbers, all finite,
+    by ``float.__repr__`` and ``int.__repr__`` (``repr`` of a numpy float
+    is not its JSON form).  Member lists are never empty.
     """
     enc = encode_basestring_ascii
-    skeleton = dict(doc, input_id_map=None)
-    skeleton["results"] = [
-        dict(res, nodes=[dict(nd, members=None) for nd in res["nodes"]]) for res in doc["results"]
-    ]
-    head, body = json.dumps(skeleton, indent=1).split('"input_id_map": null', 1)
-    id_map = doc["input_id_map"]
-    pairs = ",\n  ".join(map("{}: {}".format, map(enc, id_map), id_map.values()))
-    fh.write(f'{head}"input_id_map": {{\n  {pairs}\n }}')
-    pieces = body.split('"members": null')
-    fh.write(pieces[0])
-    members = (nd["members"] for res in doc["results"] for nd in res["nodes"])
-    for ids, piece in zip(members, pieces[1:]):
-        items = ",\n      ".join(map(enc, ids))
-        fh.write(f'"members": [\n      {items}\n     ]' if ids else '"members": []')
-        fh.write(piece)
+    num = float.__repr__
+    pairs = ",\n  ".join(map("{}: {}".format, map(enc, ct.ext_of_label[1:]), range(1, ct.n + 1)))
+    fh.write(f'{{\n "input_id_map": {{\n  {pairs}\n }},\n "W": {num(ct.W)},\n')
+    fh.write(f' "K": {int.__repr__(args.K)},\n "algorithm": {enc(args.algorithm)},\n "results": [')
+    for k, (tree, ent) in enumerate(zip(trees, entropies), start=1):
+        fh.write(f'{"," * (k > 1)}\n  {{\n   "k": {k},\n   "entropy_bits": {num(ent)},\n')
+        fh.write('   "nodes": [')
+        labels = _labels(tree, ct)
+        for i, (label, nd) in enumerate(zip(labels, tree.nodes)):
+            members = ",\n      ".join(map(enc, nd.members))
+            parent = "null" if nd.parent < 0 else enc(labels[nd.parent])
+            fh.write(f'{"," * (i > 0)}\n    {{\n     "label": {enc(label)},\n')
+            fh.write(f'     "kind": {enc(nd.kind)},\n     "members": [\n      {members}\n     ],\n')
+            fh.write(f'     "weight": {num(nd.weight)},\n     "parent": {parent}\n    }}')
+        fh.write("\n   ]")
+        if approx is not None:
+            fh.write(f',\n   "entropy_bits_rounded": {num(approx.entropy_bits_rounded[k - 1])}')
+        fh.write("\n  }")
+    fh.write("\n ]")
+    if approx is not None:
+        fh.write(f',\n "epsilon": {num(args.epsilon)},\n "w0": {int.__repr__(approx.W0)},\n')
+        fh.write(f' "w0_constant": {num(W0_CONSTANT)}')
+    fh.write("\n}\n")
 
 
 def _solve_parser() -> _Parser:
@@ -202,18 +181,10 @@ def _run_solve(argv: Sequence[str]) -> int:
     tree = read_csv(args.input) if fmt == "csv" else read_json(args.input)
     ct = canonicalize(tree)
     solve_start = time.perf_counter()
-    extra: dict = {}
+    approx = None
     if args.algorithm == "approx":
-        res = solve_approx(ct, args.K, args.epsilon)
-        trees = res.trees
-        entropies = res.entropy_bits
-        pair_cost = res.pair_cost
-        extra = {
-            "epsilon": args.epsilon,
-            "w0": res.W0,
-            "w0_constant": W0_CONSTANT,
-            "entropy_bits_rounded": res.entropy_bits_rounded,
-        }
+        approx = solve_approx(ct, args.K, args.epsilon)
+        trees, entropies, pair_cost = approx.trees, approx.entropy_bits, approx.pair_cost
     else:
         solver = solve_exact if args.algorithm == "exact" else solve_greedy
         tables = solver(ct, args.K)
@@ -222,14 +193,11 @@ def _run_solve(argv: Sequence[str]) -> int:
         pair_cost = tables.pair_cost
     wall = time.perf_counter() - solve_start
 
-    doc = _result_doc(ct, args, trees, entropies, extra)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _write_json(doc, fh)
-            fh.write("\n")
+            _write_json(fh, ct, args, trees, entropies, approx)
     elif not args.stats:
-        _write_json(doc, sys.stdout)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, ct, args, trees, entropies, approx)
     if args.dot:
         for k, tree_k in enumerate(trees, start=1):
             with open(f"{args.dot}.{k}.dot", "w", encoding="utf-8") as fh:

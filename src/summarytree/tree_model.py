@@ -49,6 +49,10 @@ __all__ = [
 
 Record = tuple[str, Optional[str], float]
 
+# float() or numpy's float64 cast takes these, but they are not weights; the
+# cast drops the imaginary part of a numpy complex with only a warning.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, np.complexfloating)
+
 
 class TreeError(ValueError):
     """Raised for structurally invalid or degenerate input trees."""
@@ -80,9 +84,10 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     ``parent_id`` is ``None`` (or empty) for the root.
 
     Raises:
-        TreeError: duplicate id, unknown parent, zero or multiple roots,
-            cycle, a weight that is negative or that ``float()`` rejects,
-            or a total weight that is zero or overflows.
+        TreeError: an id that is not a string, duplicate id, unknown
+            parent, zero or multiple roots, cycle, a weight that is a bool,
+            a string, bytes, negative or that ``float()`` rejects, or a
+            total weight that is zero or overflows.
     """
     recs = list(records)
     if not recs:
@@ -95,7 +100,7 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     parent_idx = np.fromiter(map(index.get, parent_ids, repeat(n)), np.int64, n)
     rest = iter(weights)
     try:
-        w = np.fromiter(map(float, rest), np.float64, n)
+        w = np.fromiter(map(_float if _has_non_numbers(weights) else float, rest), np.float64, n)
     except (TypeError, ValueError, OverflowError):  # rest stops just past the rejected weight
         i = n - 1 - sum(1 for _ in rest)
         raise TreeError(f"weight {weights[i]!r} for id {ids[i]!r} is not a float") from None
@@ -114,7 +119,8 @@ def from_arrays(
     so that lexicographic and numeric order coincide.  Runs the same
     validation as :func:`build_tree`, and also rejects arrays of
     different lengths, parents that are not int64 integers and weights
-    that do not convert to float64.
+    that are bools, strings, bytes or complex or that do not convert to
+    float64.
     """
     parent_idx = np.asarray(parents)
     if parent_idx.dtype.kind != "i":  # checked first: the cast would truncate or wrap
@@ -125,7 +131,16 @@ def from_arrays(
         if not (np.isfinite(p) & (p == np.trunc(p)) & (abs(p) < 2.0**63)).all():
             raise TreeError("parent indices must be integers in the int64 range")
     parent_idx = parent_idx.astype(np.int64)
+    # np.asarray([True, 2.0]) is float64, so other input is checked element by element.
+    if not isinstance(weights, np.ndarray):
+        weights = np.asarray(weights, dtype=object)
+    if weights.dtype == object:
+        numbers = not _has_non_numbers(weights.ravel())
+    else:
+        numbers = weights.dtype.kind in "iuf"
     try:
+        if not numbers:
+            raise TypeError("weights hold bools, strings, bytes or complex values")
         weights = np.array(weights, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise TreeError("weights must be numbers that convert to float64") from None
@@ -139,8 +154,23 @@ def from_arrays(
     return _checked(ids, parent_idx, weights)
 
 
+def _has_non_numbers(values) -> bool:
+    """Whether any of ``values`` is a :data:`_NOT_NUMBERS`; one C-speed pass over their types."""
+    return any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, values)))
+
+
+def _float(x) -> float:
+    """``float(x)``, except that a :data:`_NOT_NUMBERS` raises ``TypeError``."""
+    if isinstance(x, _NOT_NUMBERS):
+        raise TypeError(x)
+    return float(x)
+
+
 def _index(ids: tuple) -> dict:
-    """Map each id to its position; raises on the first repeated id."""
+    """Map each id to its position; raises on the first id that is not a string or repeats."""
+    if not all(issubclass(t, str) for t in set(map(type, ids))):
+        node_id = next(x for x in ids if not isinstance(x, str))
+        raise TreeError(f"id {node_id!r} is not a string")
     index = dict(zip(ids, range(len(ids))))
     if len(index) < len(ids):
         seen: set = set()
@@ -437,10 +467,7 @@ def read_json(path) -> InputTree:
         if not isinstance(node, dict) or "id" not in node or "weight" not in node:
             raise TreeError("JSON nodes need 'id' and 'weight' fields")
         node_id = str(node["id"])
-        weight = node["weight"]
-        if isinstance(weight, (bool, str)):  # float() would take them
-            raise TreeError(f"weight {weight!r} for id {node_id!r} is not a JSON number")
-        records.append((node_id, parent_id, weight))
+        records.append((node_id, parent_id, node["weight"]))
         kids = node.get("children", [])
         if not isinstance(kids, list):
             raise TreeError(f"'children' of {node_id!r} must be a list")

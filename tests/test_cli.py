@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from summarytree import (
     brute_force_opt,
     canonicalize,
     read_csv,
+    solve_approx,
     solve_exact,
     validate_summary_tree,
 )
@@ -236,11 +238,11 @@ class TestErrors:
           "weight 1" + "0" * 400 + " for id 'r' is not a float"),
          (deep_json_chain(3000), "JSON nesting is too deep to parse; write the tree as CSV"),
          ('{"id": "r", "weight": true, "children": [{"id": "a", "weight": 2}]}',
-          "weight True for id 'r' is not a JSON number"),
+          "weight True for id 'r' is not a float"),
          ('{"id": "r", "weight": 1, "children": [{"id": "a", "weight": false}]}',
-          "weight False for id 'a' is not a JSON number"),
+          "weight False for id 'a' is not a float"),
          ('{"id": "r", "weight": 1, "children": [{"id": "a", "weight": "2"}]}',
-          "weight '2' for id 'a' is not a JSON number")],
+          "weight '2' for id 'a' is not a float")],
         ids=["null", "list", "huge", "deep", "true", "false", "string"],
     )
     def test_bad_json_is_one_error_line(self, tmp_path, doc, reason):
@@ -405,19 +407,36 @@ def _golden_argv(name: str, algorithm: str) -> list:
     return argv + ["--algorithm", algorithm, *ALGORITHMS[algorithm]]
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_writer_matches_json_dumps(algorithm, tmp_path, capsys, monkeypatch):
-    import summarytree.cli as cli
+def _odd_tree_csv(path: Path) -> Path:
+    """Ids that JSON escapes and all-digit ids; zero, signed-zero and extreme weights."""
+    rows = [("r", "", 1.0), ('q"uote', "r", 0.0), ("back\\slash", "r", -0.0),
+            ("tab\tx", "r", 1e-300), ("nl\nx", 'q"uote', 1e300), ("\u00e9", 'q"uote', 2.0),
+            ("line\u2028sep", "12345", 0.5), ("12345", "r", 3.0), ("0", "12345", 0.0)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("id", "parent", "weight"))
+        writer.writerows((i, p, repr(w)) for i, p, w in rows)
+    return path
 
-    result_doc = cli._result_doc
-    docs = []
-    monkeypatch.setattr(cli, "_result_doc", lambda *args: docs.append(result_doc(*args)) or docs[-1])
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_writer_matches_json_dumps(algorithm, tmp_path, capsys):
+    """Both outputs are what json.dumps(indent=1) makes of the document they hold."""
+    odd = _odd_tree_csv(tmp_path / "odd.csv")
+    cases = [(GOLDEN / f"{name}.csv", GOLDEN_K[name], ALGORITHMS[algorithm]) for name in GOLDEN_K]
+    cases.append((odd, 9, ALGORITHMS[algorithm]))
+    if algorithm == "approx":
+        # At W0 = 32 every weight but 1e300 rounds to zero, so approx pads past the reduced tree.
+        assert solve_approx(canonicalize(read_csv(odd)), 9, 2.0).reduced.tree.n < 9
+        cases.append((odd, 9, ["--epsilon", "2.0"]))
     out = tmp_path / "out.json"
-    argv = _golden_argv("odd_ids", algorithm)
-    assert run(argv + ["--output", str(out)]) == 0
-    assert run(argv) == 0
-    assert out.read_text(encoding="utf-8") == json.dumps(docs[0], indent=1) + "\n"
-    assert capsys.readouterr().out == json.dumps(docs[1], indent=1) + "\n"
+    for src, K, extra in cases:
+        argv = ["--input", str(src), "-K", str(K), "--algorithm", algorithm, *extra]
+        assert run(argv + ["--output", str(out)]) == 0
+        assert run(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

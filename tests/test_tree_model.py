@@ -59,12 +59,33 @@ class TestBuildTree:
         with pytest.raises(TreeError):
             build_tree([])
 
-    @pytest.mark.parametrize("weight", [None, [1], "abc", {}, 10**400])
+    @pytest.mark.parametrize(
+        "weight", [None, [1], "abc", {}, 10**400, True, np.True_, "2", b"1", np.complex128(1)]
+    )
     def test_weight_float_rejects_is_tree_error(self, weight):
         with pytest.raises(TreeError, match=r"weight .* for id 'b' is not a float"):
             build_tree([("r", None, 1), ("a", "r", 2), ("b", "r", weight), ("c", "r", None)])
         with pytest.raises(TreeError, match="id 'r'"):
             build_tree([("r", None, weight)])
+
+    def test_shares_the_weight_check_with_read_json(self, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text('{"id": "r", "weight": true, "children": [{"id": "a", "weight": "2"}]}')
+        with pytest.raises(TreeError) as from_records:
+            build_tree([("r", None, True), ("a", "r", "2")])
+        with pytest.raises(TreeError) as from_json:
+            read_json(p)
+        assert str(from_json.value) == str(from_records.value)
+        assert str(from_records.value) == "weight True for id 'r' is not a float"
+
+    @pytest.mark.parametrize(
+        "records",
+        [[(1, None, 1.0), ("a", 1, 2.0)], [("r", None, 1.0), (2, "r", 2.0)], [(["r"], None, 1.0)]],
+        ids=["root", "child", "unhashable"],
+    )
+    def test_id_that_is_not_a_string_rejected(self, records):
+        with pytest.raises(TreeError, match="is not a string"):
+            build_tree(records)
 
 
 class TestFromArrays:
@@ -100,12 +121,33 @@ class TestFromArrays:
         with pytest.raises(TreeError, match="cycle"):
             from_arrays([-1, 3, 1, 2], [1.0, 1.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("weight", ["abc", 10**400, object()], ids=["string", "huge", "object"])
+    @pytest.mark.parametrize(
+        "weight",
+        ["abc", 10**400, object(), True, np.True_, "2", b"1", np.complex128(1)],
+        ids=["string", "huge", "object", "bool", "numpy-bool", "numeric-string", "bytes",
+             "complex"],
+    )
     def test_weight_that_is_not_a_float64_rejected(self, weight):
         with pytest.raises(TreeError, match="float64"):
             from_arrays([-1], [weight])
         with pytest.raises(TreeError, match="float64"):
             from_arrays([-1, 0], np.array([1.0, weight], dtype=object))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [["1", "2"], [True, 2.0], np.array([True, True]), [b"1", b"2"], np.array(["1", "2"]),
+         np.array([b"1", b"2"]), np.array([1.0, 2.0], dtype=complex)],
+        ids=["strings", "bool-and-float", "bool-array", "bytes", "str-array", "bytes-array",
+             "complex-array"],
+    )
+    def test_bool_string_bytes_and_complex_weights_rejected(self, weights):
+        with pytest.raises(TreeError, match="float64"):
+            from_arrays([-1, 0], weights)
+
+    @pytest.mark.parametrize("ids", [[1, "a"], [1, 2], ["r", None]])
+    def test_id_that_is_not_a_string_rejected(self, ids):
+        with pytest.raises(TreeError, match="is not a string"):
+            from_arrays([-1, 0], [1.0, 2.0], ids=ids)
 
     @pytest.mark.parametrize(
         "parents",
