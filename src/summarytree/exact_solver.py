@@ -40,7 +40,8 @@ Ties are broken deterministically: prefix class first, then near-prefix
 classes by increasing j, then the smallest left-table split inside a
 max-plus combination.  The fill records the winning class of every
 table entry, so reconstruction replays only that one class, as the same
-group sweep over one node in record mode, to recover the split.
+group sweep over one node in record mode, to recover the split; replays
+are kept, so reconstructing all k <= K sweeps each (node, class) once.
 
 One object, :class:`DPTables`, fills and reconstructs the tables for all
 three solvers: exact (:func:`solve_exact`), greedy (:func:`solve_greedy`)
@@ -100,6 +101,10 @@ class DPTables:
     ``pair_cost`` is the sum of min(prefix, K) * min(child, K) over
     prefix-class combining steps, where prefix is the descendant count
     already covered; it is at most 2*K*n.
+
+    ``_replays`` keeps the final row, steps and ``base_pos`` of each
+    (node, class) that reconstruction sweeps, for every later k: at most
+    one entry per distinct pair any k visits, a number bounded by K, not n.
     """
 
     def __init__(
@@ -117,6 +122,7 @@ class DPTables:
         self.K = K
         self.mode = mode
         self.chains = chains or {}
+        self._replays: dict = {}
         # Children a sweep combines at most: the last K-1, or K in greedy mode.
         self._span = K if mode == "greedy" else K - 1
         self._W = tree.W
@@ -267,11 +273,11 @@ class DPTables:
         that already holds that child, which idles there.
 
         Returns (G, steps, base_pos).  The fill passes many nodes; record
-        mode passes one node and one class, and ``steps`` then holds
-        (position, arg) per combining step, where arg[t-2] + 1 is the
-        smallest left forest size h maximizing the t-node forest.
-        ``base_pos`` is 1 when the prefix row starts from child 1's table
-        (empty seed), else 0.
+        mode passes one node and one class, and ``steps`` is then one
+        small-integer array with a row per combining step: its position,
+        then arg, where arg[t-2] + 1 is the smallest left forest size h
+        maximizing the t-node forest.  ``base_pos`` is 1 when the prefix
+        row starts from child 1's table (empty seed), else 0.
         """
         t = self.tree
         W = self._W
@@ -314,7 +320,7 @@ class DPTables:
             G[..., 0] = fresh[..., 0]
             if base_pos:
                 G[:, 0] = tabs[:, 0, : lbs[0]]
-        steps = [] if record else None
+        steps = np.zeros((d - a + 1, self.K), np.min_scalar_type(d + self.K)) if record else None
         for pos in range(a, d + 1):
             idle = skips.index(pos) if pos in skips else -1
             if idle >= 0 and R == 1:
@@ -327,10 +333,10 @@ class DPTables:
             # newG[b, r, t-1] = max_h G[b, r, h-1] + Bt[b, t-h-1]; arg keeps the smallest h.
             if lb == 1:
                 np.add(G[..., : w - 1], Bt[:, None], out=newG[..., 1:])
-                arg = np.arange(lg) if record else None
+                arg = np.arange(w - 1) if record else None
             elif lg == 1:
                 np.add(G, Bt[:, None, : w - 1], out=newG[..., 1:])
-                arg = np.zeros(lb, dtype=np.int64) if record else None
+                arg = 0
             else:
                 P = np.empty((B, R, lg, lg + lb))
                 P[..., lb:] = NEG_INF
@@ -339,13 +345,15 @@ class DPTables:
                 S.max(axis=2, out=newG[..., 1:])
                 arg = S[0, 0].argmax(axis=0) if record else None
             if record:
-                steps.append((pos, arg))
+                steps[pos - a, 0] = pos
+                steps[pos - a, 1:w] = arg
             newG[..., 0] = fresh[..., 1 + pos - a]
             if idle >= 0:
                 newG[:, idle, :lg] = G[:, idle]
                 newG[:, idle, lg:] = NEG_INF
             G = newG
-        return G, steps, base_pos
+        # An idle position leaves its row at position 0.
+        return G, steps if steps is None else steps[steps[:, 0] > 0], base_pos
 
     # -- reconstruction --------------------------------------------------- #
 
@@ -423,8 +431,11 @@ class DPTables:
         fc = int(t.first_child[v])
         kf = kk - 1
         j = int(self.win[self.offs[v] + kf])
-        G, steps, base_pos = self._sweep_group(np.array([v]), (j,), record=True)
-        got = self.pw[v] + (G[0, 0, kf - 1] if kf <= G.shape[2] else NEG_INF)
+        if (v, j) not in self._replays:
+            G, steps, base_pos = self._sweep_group(np.array([v]), (j,), record=True)
+            self._replays[v, j] = G[0, 0], steps, base_pos
+        row, steps, base_pos = self._replays[v, j]
+        got = self.pw[v] + (row[kf - 1] if kf <= row.shape[0] else NEG_INF)
         want = self.value(v, kk)
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise InvariantError(
@@ -435,9 +446,8 @@ class DPTables:
         splits_pos: list[tuple[int, int]] = []
         i = len(steps) - 1
         while i >= 0 and tpos >= 2:
-            pos, arg = steps[i]
-            h = int(arg[tpos - 2]) + 1
-            splits_pos.append((pos, tpos - h))
+            h = int(steps[i, tpos - 1]) + 1
+            splits_pos.append((int(steps[i, 0]), tpos - h))
             tpos = h
             i -= 1
         if tpos >= 2:

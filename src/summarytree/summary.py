@@ -182,7 +182,8 @@ def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
     nodes must tile ``[0, n)``.  Painting each preorder position with its
     owner and stably sorting the owners in sorted-id order (``id_rank``)
     yields every node's members already sorted, with one array pass per
-    tree.
+    tree.  Owners are held in the smallest unsigned dtype that fits, so
+    that for up to 65,536 nodes numpy's stable sort is a radix sort.
 
     Raises:
         InvariantError: if the member sets overlap or leave a gap.
@@ -191,7 +192,7 @@ def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
     roots = [nd.child_roots if nd.kind == "group" else (nd.anchor,) for nd in nodes]
     per_node = np.fromiter(map(len, roots), np.int64, len(nodes))
     root = np.fromiter(chain.from_iterable(roots), np.int64, int(per_node.sum()))
-    owner = np.repeat(np.arange(len(nodes)), per_node)
+    owner = np.repeat(np.arange(len(nodes), dtype=np.min_scalar_type(len(nodes) - 1)), per_node)
     single = np.repeat([nd.kind == "singleton" for nd in nodes], per_node)
     start = ct.pre_pos[root]
     length = np.where(single, 1, ct.count[root])
@@ -202,7 +203,7 @@ def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
     if start.size == 0 or start[0] != 0 or end[-1] != ct.n or (start[1:] != end[:-1]).any():
         raise InvariantError("member sets overlap or leave a gap in the input nodes")
 
-    owner_by_rank = np.empty(ct.n, dtype=np.int64)
+    owner_by_rank = np.empty(ct.n, dtype=owner.dtype)
     owner_by_rank[ct.id_rank[ct.preorder]] = np.repeat(owner, length)
     ids = ct.ids_by_rank[np.argsort(owner_by_rank, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(owner_by_rank, minlength=len(nodes))).tolist()

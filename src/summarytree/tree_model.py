@@ -84,10 +84,10 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     ``parent_id`` is ``None`` (or empty) for the root.
 
     Raises:
-        TreeError: an id that is not a string, duplicate id, unknown
-            parent, zero or multiple roots, cycle, a weight that is a bool,
-            a string, bytes, negative or that ``float()`` rejects, or a
-            total weight that is zero or overflows.
+        TreeError: an id, or a parent id other than None, that is not a
+            string, duplicate id, unknown parent, zero or multiple roots,
+            cycle, a weight that is a bool, a string, bytes, negative or
+            that ``float()`` rejects, or a total weight that is zero or overflows.
     """
     recs = list(records)
     if not recs:
@@ -95,6 +95,9 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     ids, parent_ids, weights = zip(*recs)
     n = len(ids)
     index = _index(ids)
+    if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
+        i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
+        raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
     index[None] = index[""] = -1
     # An unknown parent maps to n, which _checked reports.
     parent_idx = np.fromiter(map(index.get, parent_ids, repeat(n)), np.int64, n)

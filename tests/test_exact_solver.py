@@ -17,6 +17,7 @@ from summarytree import (
     validate_summary_tree,
 )
 from summarytree.entropy_core import _fresh_terms, _term, _terms
+from summarytree.summary import InvariantError
 from tests.conftest import (
     assert_group_classes,
     extreme_tree_records,
@@ -526,6 +527,83 @@ class TestReconstruct:
         tb = solve_exact(p4, 2)
         with pytest.raises(ValueError):
             tb.reconstruct(3)
+
+
+class TestReplayCache:
+    """Reconstructing every k sweeps each (node, class) once per table."""
+
+    @staticmethod
+    def _trees() -> list:
+        """A uniform tree, a 40-ary tree and a tie-heavy integer-weight tree.
+
+        Seeds where some node is rebuilt under two classes for different k.
+        """
+        return [
+            canonicalize(random_tree(300, weights="uniform", seed=11)),
+            canonicalize(random_tree(1641, shape="fixed-degree", degree=40, seed=4)),
+            canonicalize(
+                random_tree(200, shape="fixed-degree", degree=5, weights="integer", max_weight=3, seed=3)
+            ),
+        ]
+
+    def _tables(self):
+        """Exact, greedy and approx tables on each of ``_trees``."""
+        for t in self._trees():
+            yield solve_exact(t, 12)
+            yield solve_greedy(t, 12)
+            yield solve_approx(t, 12, 1.0).tables
+
+    @staticmethod
+    def _record_sweeps(monkeypatch) -> list:
+        """Capture the (node, class) of every record-mode sweep."""
+        swept = []
+        sweep = DPTables._sweep_group
+
+        def spy(self, vs, js, record=False):
+            if record:
+                swept.append((int(vs[0]), js[0]))
+            return sweep(self, vs, js, record)
+
+        monkeypatch.setattr(DPTables, "_sweep_group", spy)
+        return swept
+
+    def test_every_k_matches_a_table_built_for_it_alone(self):
+        for tb in self._tables():
+            for k in range(1, tb.max_k + 1):
+                fresh = DPTables(tb.tree, tb.K, tb.mode, tb.chains)
+                assert tb.rebuild(k) == fresh.rebuild(k)
+
+    def test_each_node_class_swept_once(self, monkeypatch):
+        swept = self._record_sweeps(monkeypatch)
+        visits = []
+        rebuild_node = DPTables._rebuild_node
+        monkeypatch.setattr(
+            DPTables, "_rebuild_node", lambda self, v, kk: visits.append(v) or rebuild_node(self, v, kk)
+        )
+        two_classes = 0
+        for tb in self._tables():
+            swept.clear()
+            visits.clear()
+            for k in range(1, tb.max_k + 1):
+                tb.rebuild(k)
+            assert len(swept) == len(set(swept))
+            assert len(visits) > len(swept)  # later k read the replays
+            two_classes += len(swept) - len({v for v, _ in swept})
+        assert two_classes >= 3  # the cache tells a node's classes apart
+
+    def test_table_check_runs_on_a_cache_hit(self, monkeypatch):
+        tb = solve_exact(self._trees()[2], 12)
+        root = tb.offs[1]
+        by_class: dict = {}
+        for k in range(2, tb.max_k + 1):
+            by_class.setdefault(int(tb.win[root + k - 1]), []).append(k)
+        k1, k2 = next(ks for ks in by_class.values() if len(ks) > 1)[:2]
+        tb.reconstruct(k1)
+        swept = self._record_sweeps(monkeypatch)
+        tb.F[root + k2 - 1] += 1.0
+        with pytest.raises(InvariantError, match="disagrees with table"):
+            tb.reconstruct(k2)
+        assert swept == []  # the root's class came from the replay of k1
 
 
 class TestProperties:

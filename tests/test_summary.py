@@ -44,6 +44,21 @@ def test_members_match_sorted_reference():
         for s in trees + ap.trees:
             assert [nd.members for nd in s.nodes] == [reference_members(nd, t) for nd in s.nodes]
     assert padded > 100  # approx trees past the reduced size come from _pad_to_k
+    # Trees of more than 256 nodes number their owners past uint8.
+    t = odd_id_tree(rng, 300, 0.3)
+    tb = solve_greedy(t, 300)
+    assert tb.max_k == 300
+    for k in range(1, 301):
+        s = tb.reconstruct(k)
+        assert [nd.members for nd in s.nodes] == [reference_members(nd, t) for nd in s.nodes]
+
+
+def test_members_past_65536_nodes():
+    # Owners past uint16: every node of a 70,000-node tree is a singleton.
+    t = odd_id_tree(np.random.default_rng(43), 70_000, 0.0)
+    nodes = [SummaryNode("singleton", v, v // 2 - 1, float(t.weight[v])) for v in range(1, t.n + 1)]
+    s = attach_members(SummaryTree(t.n, 0.0, t.W, nodes), t)
+    assert [nd.members for nd in s.nodes] == [reference_members(nd, t) for nd in s.nodes]
 
 
 def test_id_rank_orders_ids():

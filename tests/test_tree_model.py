@@ -87,6 +87,17 @@ class TestBuildTree:
         with pytest.raises(TreeError, match="is not a string"):
             build_tree(records)
 
+    @pytest.mark.parametrize("parent", [["r"], {"id": "r"}, 1, b"r"], ids=repr)
+    def test_parent_id_that_is_not_a_string_rejected(self, parent):
+        with pytest.raises(TreeError, match=r"parent id .* of id 'a' is not a string"):
+            build_tree([("r", None, 1), ("b", "r", 1), ("a", parent, 1)])
+
+    def test_parent_id_check_between_duplicates_and_per_node_faults(self):
+        with pytest.raises(TreeError, match="duplicate id"):
+            build_tree([("r", None, 1), ("r", ["r"], 1)])
+        with pytest.raises(TreeError, match="parent id"):
+            build_tree([("r", None, -1), ("a", "q", 1), ("b", ["r"], 1)])
+
 
 class TestFromArrays:
     def test_matches_build_tree(self):
