@@ -348,6 +348,7 @@ def solve_approx(t: CanonicalTree, K: int, epsilon: float) -> ApproxResult:
     trees: list[SummaryTree] = []
     ents: list[float] = []
     ents_rounded: list[float] = []
+    members: dict = {}  # member tuple of each distinct node, shared across k
     for k in range(1, min(K, t.n) + 1):
         nodes = _map_to_original(tables.rebuild(min(k, tables.max_k)), reduced, t)
         _pad_to_k(nodes, k, reduced, t)
@@ -355,7 +356,7 @@ def solve_approx(t: CanonicalTree, K: int, epsilon: float) -> ApproxResult:
         weight_r = np.array([node_weight(nd, w_r, s_r) for nd in nodes], dtype=np.float64)
         ent_r = float(_terms(weight_r, W0f).sum())
         tree = SummaryTree(k, ent, W, nodes)
-        attach_members(tree, t)
+        attach_members(tree, t, members)
         trees.append(tree)
         ents.append(ent)
         ents_rounded.append(ent_r)

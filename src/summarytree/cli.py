@@ -90,10 +90,13 @@ def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -
     ``w0_constant``.  Every piece is formatted as the plain encoder
     formats it: strings by its C string encoder, and numbers, all finite,
     by ``float.__repr__`` and ``int.__repr__`` (``repr`` of a numpy float
-    is not its JSON form).  Member lists are never empty.
+    is not its JSON form).  Member lists are never empty.  The trees of
+    different k share the member tuple of a node they have in common, so
+    each distinct tuple is encoded once.
     """
     enc = encode_basestring_ascii
     num = float.__repr__
+    blocks: dict = {}  # the encoded member lines of each member tuple
     pairs = ",\n  ".join(map("{}: {}".format, map(enc, ct.ext_of_label[1:]), range(1, ct.n + 1)))
     fh.write(f'{{\n "input_id_map": {{\n  {pairs}\n }},\n "W": {num(ct.W)},\n')
     fh.write(f' "K": {int.__repr__(args.K)},\n "algorithm": {enc(args.algorithm)},\n "results": [')
@@ -102,7 +105,9 @@ def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -
         fh.write('   "nodes": [')
         labels = _labels(tree, ct)
         for i, (label, nd) in enumerate(zip(labels, tree.nodes)):
-            members = ",\n      ".join(map(enc, nd.members))
+            members = blocks.get(nd.members)
+            if members is None:
+                members = blocks[nd.members] = ",\n      ".join(map(enc, nd.members))
             parent = "null" if nd.parent < 0 else enc(labels[nd.parent])
             fh.write(f'{"," * (i > 0)}\n    {{\n     "label": {enc(label)},\n')
             fh.write(f'     "kind": {enc(nd.kind)},\n     "members": [\n      {members}\n     ],\n')

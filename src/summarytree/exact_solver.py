@@ -25,9 +25,11 @@ subtree's table, plus a fresh "absorb everything so far" entry at forest
 size 1 in each row.  A near-prefix row idles at child j, which its seed
 already holds.  The rows, the seeded children and the idle positions
 depend only on the degree d, K and the mode, so the fill sweeps every
-node of one height and one degree as one group: a (B, R, width) table
-over B nodes and R classes, with the child tables padded with -inf to
-the longest.  Groups go in increasing height, so every child table is
+node of one height and one degree as one group: a (width, R, B) table
+over R classes and B nodes, with the child tables padded with -inf to
+the longest.  The node axis is last, so each array op runs over the
+rows and nodes of one forest size at once, not over a short table
+width.  Groups go in increasing height, so every child table is
 filled before it is read.  Each entry of each row takes the same float
 operations, in the same order, as a sweep of its node and class alone,
 so grouping and stacking change no value and no tie-break.
@@ -41,7 +43,8 @@ classes by increasing j, then the smallest left-table split inside a
 max-plus combination.  The fill records the winning class of every
 table entry, so reconstruction replays only that one class, as the same
 group sweep over one node in record mode, to recover the split; replays
-are kept, so reconstructing all k <= K sweeps each (node, class) once.
+are kept, so reconstructing all k <= K sweeps each (node, class) once,
+and the trees of all k share one member tuple per distinct node.
 
 One object, :class:`DPTables`, fills and reconstructs the tables for all
 three solvers: exact (:func:`solve_exact`), greedy (:func:`solve_greedy`)
@@ -105,6 +108,8 @@ class DPTables:
     ``_replays`` keeps the final row, steps and ``base_pos`` of each
     (node, class) that reconstruction sweeps, for every later k: at most
     one entry per distinct pair any k visits, a number bounded by K, not n.
+    ``_members`` keeps the member tuple of each distinct summary node
+    that ``reconstruct`` has built (see :func:`summary.attach_members`).
     """
 
     def __init__(
@@ -123,6 +128,7 @@ class DPTables:
         self.mode = mode
         self.chains = chains or {}
         self._replays: dict = {}
+        self._members: dict = {}
         # Children a sweep combines at most: the last K-1, or K in greedy mode.
         self._span = K if mode == "greedy" else K - 1
         self._W = tree.W
@@ -229,13 +235,19 @@ class DPTables:
         return (0, *range(max(3, d - self.K + 3), d + 1))
 
     def _fill_group(self, group: np.ndarray, d: int) -> None:
-        """Fill the tables of nodes of degree d whose children are all filled."""
+        """Fill the tables of nodes of degree d whose children are all filled.
+
+        Sweeps the group in chunks.  A chunk's G[t-1, r, b] is class
+        ``js[r]``'s best t-node forest at node ``vs[b]``; F(v, t+1) is
+        ``pw[v]`` plus its max over the row axis, and ``win`` takes the
+        first row that attains it.
+        """
         js = self._fill_classes(d)
         R = len(js)
         K1 = self.K - 1
         a = self._sweep_start(d)
-        # Bytes of temporaries per node: the (R, lg, lg + lb) max-plus block,
-        # or the (R, lg) table when every child table is one entry wide,
+        # Bytes of temporaries per node: the (lg, lg + lb, R) max-plus block,
+        # or the (lg, R) table when every child table is one entry wide,
         # about 64 per running group weight on its way through _fresh_terms,
         # and the d child weights.  A node of count c has forest tables
         # below c and child tables of at most c - d entries.
@@ -247,30 +259,30 @@ class DPTables:
         for i in range(0, group.shape[0], step):
             vs = group[i : i + step]
             G = self._sweep_group(vs, js)[0]
-            ncol = self.caps[vs] - 1
-            cols = np.arange(G.shape[2])
-            keep = cols < ncol[:, None]
-            at = (self.offs[vs][:, None] + 1 + cols)[keep]
+            cols = np.arange(G.shape[0])[:, None]
+            keep = cols < self.caps[vs] - 1
+            at = (self.offs[vs] + 1 + cols)[keep]
             if R == 1:
                 best = G[:, 0]
             else:
                 # The first row attaining a column's max wins: prefix, then increasing j.
                 self.win[at] = rows[G.argmax(axis=1)][keep]
                 best = G.max(axis=1)
-            self.F[at] = (self.pw[vs][:, None] + best)[keep]
+            self.F[at] = (self.pw[vs] + best)[keep]
 
     def _sweep_group(self, vs: np.ndarray, js: tuple[int, ...], record: bool = False):
         """Sweep the candidate classes ``js`` of the internal nodes ``vs`` as one group.
 
         The nodes share one degree d, and their child tables are filled.
         ``js[r]`` names row r's class: 0 for the prefix class, j > 0 for
-        the near-prefix class whose group holds child j.  G[b, r, t-1] is
-        the best t-node forest of class ``js[r]`` at node ``vs[b]``.  Rows
-        and child tables are padded with -inf; max is exact and no +inf
-        appears, so padding changes no entry.  Each child position
-        advances every row with one max-plus combination and a fresh
-        "absorb everything so far" entry at forest size 1, except the row
-        that already holds that child, which idles there.
+        the near-prefix class whose group holds child j.  G[t-1, r, b] is
+        the best t-node forest of class ``js[r]`` at node ``vs[b]``; the
+        node axis is last, so every array op runs over the B nodes
+        contiguously.  Rows and child tables are padded with -inf; max is
+        exact and no +inf appears, so padding changes no entry.  Each
+        child position advances every row with one max-plus combination
+        and a fresh "absorb everything so far" entry at forest size 1,
+        except the row that already holds that child, which idles there.
 
         Returns (G, steps, base_pos).  The fill passes many nodes; record
         mode passes one node and one class, and ``steps`` is then one
@@ -285,16 +297,17 @@ class DPTables:
         B, R = vs.shape[0], len(js)
         d = int(t.degree[vs[0]])
         a = self._sweep_start(d)
-        children = t.first_child[vs][:, None] + np.arange(d)
-        sizes = t.size[children]
-        # Child tables at positions a..d, -inf padded to each position's longest.
-        kids = children[:, a - 1 :]
+        fc = t.first_child[vs]
+        sizes = t.size[fc[:, None] + np.arange(d)]
+        # Child tables tabs[pos-a, t-1, b] at positions a..d, -inf padded to
+        # each position's longest.
+        kids = fc + np.arange(a - 1, d)[:, None]
         widths = self._view_len[kids]
-        lbs = widths.max(axis=0).tolist()
-        cols = np.arange(max(lbs))
-        filled = cols < widths[..., None]
+        lbs = widths.max(axis=1).tolist()
+        cols = np.arange(max(lbs))[:, None]
+        filled = cols < widths[:, None]
         tabs = np.full(filled.shape, NEG_INF)
-        tabs[filled] = self.F[(self.offs[kids][..., None] + cols)[filled]]
+        tabs[filled] = self.F[(self.offs[kids][:, None] + cols)[filled]]
         skips = list(js)  # row r idles at child position skips[r]
         base_pos = int(a == 1 and js[0] == 0)  # the prefix row starts from child 1's table
         if base_pos:
@@ -302,55 +315,58 @@ class DPTables:
         # Each row's running group weight: its seed, then one child per
         # position, where adding 0.0 at the row's idle position keeps the
         # sum (a -0.0 may turn +0.0; both terms are 0).  cumsum adds in
-        # sequence, as one += per position would.
-        run = np.empty((B, R, d - a + 2))
-        run[..., 1:] = sizes[:, None, a - 1 :]
+        # sequence, as one += per position would.  The seed sums each
+        # node's row of ``sizes``, which keeps numpy's order for a 1-D sum.
+        run = np.empty((d - a + 2, R, B))
+        run[1:] = sizes[:, a - 1 :].T[:, None]
         seed = sizes[:, : a - 1].sum(axis=1) if a > 1 else 0.0
         for r, j in enumerate(js):
-            run[:, r, 0] = seed + sizes[:, j - 1] if j else seed
+            run[0, r] = seed + sizes[:, j - 1] if j else seed
             if skips[r] >= a:
-                run[:, r, 1 + skips[r] - a] = 0.0
+                run[1 + skips[r] - a, r] = 0.0
         if base_pos:
-            run[:, 0, 0] = sizes[:, 0]
-        fresh = _fresh_terms(np.cumsum(run, axis=2), W)
+            run[0, 0] = sizes[:, 0]
+        fresh = _fresh_terms(np.cumsum(run, axis=0), W)
         if base_pos and R == 1:
-            G = tabs[:, :1, : lbs[0]]  # a lone row needs no padded copy
+            G = tabs[0, : lbs[0], None]  # a lone row needs no padded copy
         else:
-            G = np.full((B, R, lbs[0] if base_pos else 1), NEG_INF)
-            G[..., 0] = fresh[..., 0]
+            G = np.full((lbs[0] if base_pos else 1, R, B), NEG_INF)
+            G[0] = fresh[0]
             if base_pos:
-                G[:, 0] = tabs[:, 0, : lbs[0]]
+                G[:, 0] = tabs[0, : lbs[0]]
         steps = np.zeros((d - a + 1, self.K), np.min_scalar_type(d + self.K)) if record else None
         for pos in range(a, d + 1):
             idle = skips.index(pos) if pos in skips else -1
             if idle >= 0 and R == 1:
                 continue
-            Bt = tabs[:, pos - a, : lbs[pos - a]]
-            lg = G.shape[2]
-            lb = Bt.shape[1]
+            # The child table once per row, so that every operand's (row,
+            # node) axes are contiguous and numpy loops over R * B at once.
+            Bt = np.repeat(tabs[pos - a, : lbs[pos - a], None], R, axis=1)
+            lg = G.shape[0]
+            lb = Bt.shape[0]
             w = min(K1, lg + lb)
-            newG = np.empty((B, R, w))
-            # newG[b, r, t-1] = max_h G[b, r, h-1] + Bt[b, t-h-1]; arg keeps the smallest h.
+            newG = np.empty((w, R, B))
+            # newG[t-1, r, b] = max_h G[h-1, r, b] + Bt[t-h-1, r, b]; arg keeps the smallest h.
             if lb == 1:
-                np.add(G[..., : w - 1], Bt[:, None], out=newG[..., 1:])
+                np.add(G[: w - 1], Bt[0], out=newG[1:])
                 arg = np.arange(w - 1) if record else None
             elif lg == 1:
-                np.add(G, Bt[:, None, : w - 1], out=newG[..., 1:])
+                np.add(G, Bt[: w - 1], out=newG[1:])
                 arg = 0
             else:
-                P = np.empty((B, R, lg, lg + lb))
-                P[..., lb:] = NEG_INF
-                np.add(G[..., None], Bt[:, None, None], out=P[..., :lb])
-                S = P.reshape(B, R, -1)[..., :-lg].reshape(B, R, lg, lg + lb - 1)[..., : w - 1]
-                S.max(axis=2, out=newG[..., 1:])
-                arg = S[0, 0].argmax(axis=0) if record else None
+                P = np.empty((lg, lg + lb, R, B))
+                P[:, lb:] = NEG_INF
+                np.add(G[:, None], Bt, out=P[:, :lb])
+                S = P.reshape(-1, R, B)[:-lg].reshape(lg, lg + lb - 1, R, B)[:, : w - 1]
+                S.max(axis=0, out=newG[1:])
+                arg = S[:, :, 0, 0].argmax(axis=0) if record else None
             if record:
                 steps[pos - a, 0] = pos
                 steps[pos - a, 1:w] = arg
-            newG[..., 0] = fresh[..., 1 + pos - a]
+            newG[0] = fresh[1 + pos - a]
             if idle >= 0:
-                newG[:, idle, :lg] = G[:, idle]
-                newG[:, idle, lg:] = NEG_INF
+                newG[:lg, idle] = G[:, idle]
+                newG[lg:, idle] = NEG_INF
             G = newG
         # An idle position leaves its row at position 0.
         return G, steps if steps is None else steps[steps[:, 0] > 0], base_pos
@@ -376,7 +392,7 @@ class DPTables:
         t = self.tree
         nodes = self.rebuild(k)
         ent = float(_terms(np.array([nd.weight for nd in nodes]), t.W).sum())
-        return attach_members(SummaryTree(k, ent, t.W, nodes), t)
+        return attach_members(SummaryTree(k, ent, t.W, nodes), t, self._members)
 
     def rebuild(self, k: int) -> list[SummaryNode]:
         """The nodes of an optimal k-node summary tree, without members."""
@@ -396,7 +412,7 @@ class DPTables:
             other, splits = self._rebuild_node(v, kk)
             me = len(nodes)
             nodes.append(summary_node(t, v, (), par))
-            if other:
+            if other.size:
                 nodes.append(summary_node(t, v, other, me))
             for c, kc in sorted(splits, reverse=True):
                 stack.append((c, kc, me))
@@ -433,7 +449,7 @@ class DPTables:
         j = int(self.win[self.offs[v] + kf])
         if (v, j) not in self._replays:
             G, steps, base_pos = self._sweep_group(np.array([v]), (j,), record=True)
-            self._replays[v, j] = G[0, 0], steps, base_pos
+            self._replays[v, j] = G[:, 0, 0], steps, base_pos
         row, steps, base_pos = self._replays[v, j]
         got = self.pw[v] + (row[kf - 1] if kf <= row.shape[0] else NEG_INF)
         want = self.value(v, kk)
@@ -455,12 +471,12 @@ class DPTables:
                 raise InvariantError("sweep backtrack escaped the seed")
             splits_pos.append((base_pos, tpos))
         # Every child not split off is absorbed into the group.
-        split = {p for p, _ in splits_pos}
-        other_pos = [p for p in range(1, d + 1) if p not in split]
-        if len(other_pos) == 1:
-            splits_pos.append((other_pos[0], 1))
-            other_pos = []
-        other = [fc + p - 1 for p in other_pos]
+        absorbed = np.ones(d, dtype=bool)
+        absorbed[[p - 1 for p, _ in splits_pos]] = False
+        other = np.flatnonzero(absorbed) + fc
+        if other.shape[0] == 1:
+            splits_pos.append((int(other[0]) - fc + 1, 1))
+            other = other[:0]
         splits = [(fc + p - 1, kc) for p, kc in splits_pos]
         return other, splits
 

@@ -14,14 +14,15 @@ non-root summary node is a singleton.
 
 A node's ``members`` are its input nodes' external ids in sorted order,
 as the CLI writes them; :func:`attach_members` builds them for a whole
-tree from preorder intervals.
+tree from preorder intervals, and trees that share a node can share its
+member tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,17 +68,21 @@ class SummaryTree:
 def summary_node(ct: CanonicalTree, anchor: int, roots: Sequence[int], parent: int) -> SummaryNode:
     """The node holding ``anchor`` alone (no roots), one root's whole subtree, or a group.
 
-    A group's roots are children of ``anchor``; its weight sums their sizes
-    in the order given, and ``child_roots`` holds them sorted.
+    A group's roots (a sequence or an integer array) are children of
+    ``anchor``; its weight sums their sizes one by one from +0.0 in the
+    order given, and ``child_roots`` holds them sorted.
     """
-    if not roots:
+    if len(roots) == 0:
         return SummaryNode("singleton", anchor, parent, float(ct.weight[anchor]))
     if len(roots) == 1:
-        c = roots[0]
+        c = int(roots[0])
         kind = "subtree" if int(ct.count[c]) > 1 else "singleton"
         return SummaryNode(kind, c, parent, float(ct.size[c]))
-    weight = float(sum(ct.size[c] for c in roots))
-    return SummaryNode("group", anchor, parent, weight, (), tuple(sorted(roots)))
+    roots = np.asarray(roots)
+    sizes = np.zeros(roots.shape[0] + 1)
+    sizes[1:] = ct.size[roots]
+    weight = float(np.add.accumulate(sizes)[-1])
+    return SummaryNode("group", anchor, parent, weight, (), tuple(np.sort(roots).tolist()))
 
 
 def node_weight(nd: SummaryNode, weight, size):
@@ -173,26 +178,29 @@ def _member_labels(nd: SummaryNode, ct: CanonicalTree) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
+def attach_members(tree: SummaryTree, ct: CanonicalTree, built: Optional[dict] = None) -> SummaryTree:
     """Fill in the ``members`` tuples of every node (in place) and return the tree.
 
     Every member set is a union of whole preorder intervals: a singleton
     is ``[pre_pos[a], +1)``, a subtree ``[pre_pos[a], +count[a])`` and a
     group one subtree interval per child root.  The intervals of all
-    nodes must tile ``[0, n)``.  Painting each preorder position with its
-    owner and stably sorting the owners in sorted-id order (``id_rank``)
-    yields every node's members already sorted, with one array pass per
-    tree.  Owners are held in the smallest unsigned dtype that fits, so
-    that for up to 65,536 nodes numpy's stable sort is a radix sort.
+    nodes must tile ``[0, n)``.  A node's members depend only on its
+    (kind, anchor, child_roots), and ``built`` maps that key to the tuple
+    built for it, so that the trees of several k share one tuple per
+    distinct node; a node found there is not built again, and every node
+    built here is added.  The new nodes' preorder positions are sorted by
+    (owner, id rank) in one array pass, which yields their members in
+    sorted-id order.
 
     Raises:
         InvariantError: if the member sets overlap or leave a gap.
     """
     nodes = tree.nodes
+    built = {} if built is None else built
     roots = [nd.child_roots if nd.kind == "group" else (nd.anchor,) for nd in nodes]
     per_node = np.fromiter(map(len, roots), np.int64, len(nodes))
     root = np.fromiter(chain.from_iterable(roots), np.int64, int(per_node.sum()))
-    owner = np.repeat(np.arange(len(nodes), dtype=np.min_scalar_type(len(nodes) - 1)), per_node)
+    owner = np.repeat(np.arange(len(nodes)), per_node)
     single = np.repeat([nd.kind == "singleton" for nd in nodes], per_node)
     start = ct.pre_pos[root]
     length = np.where(single, 1, ct.count[root])
@@ -203,12 +211,19 @@ def attach_members(tree: SummaryTree, ct: CanonicalTree) -> SummaryTree:
     if start.size == 0 or start[0] != 0 or end[-1] != ct.n or (start[1:] != end[:-1]).any():
         raise InvariantError("member sets overlap or leave a gap in the input nodes")
 
-    owner_by_rank = np.empty(ct.n, dtype=owner.dtype)
-    owner_by_rank[ct.id_rank[ct.preorder]] = np.repeat(owner, length)
-    ids = ct.ids_by_rank[np.argsort(owner_by_rank, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(owner_by_rank, minlength=len(nodes))).tolist()
+    # The preorder positions of the nodes not built yet, keyed by (owner, id rank).
+    keys = [(nd.kind, nd.anchor, nd.child_roots) for nd in nodes]
+    take = np.array([key not in built for key in keys], dtype=bool)[owner]
+    start, length, owner = start[take], length[take], owner[take]
+    pos = np.arange(int(length.sum())) + np.repeat(start - np.cumsum(length) + length, length)
+    key = np.repeat(owner * ct.n, length) + ct.id_rank[ct.preorder[pos]]
+    key.sort()
+    ids = ct.ids_by_rank[key % ct.n].tolist()
+    ends = np.cumsum(np.bincount(key // ct.n, minlength=len(nodes))).tolist()
     lo = 0
-    for nd, hi in zip(nodes, ends):
-        nd.members = tuple(ids[lo:hi])
+    for nd, nk, hi in zip(nodes, keys, ends):
+        if hi > lo:  # every node has a member, so only new nodes own positions here
+            built[nk] = tuple(ids[lo:hi])
+        nd.members = built[nk]
         lo = hi
     return tree

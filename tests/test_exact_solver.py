@@ -321,13 +321,15 @@ class TestStackedSweep:
 
     @staticmethod
     def _record_groups(monkeypatch) -> list:
-        """Capture the node groups that the fill sweeps."""
+        """Capture the node groups that the fill sweeps, and check the table layout."""
         groups = []
         sweep = DPTables._sweep_group
 
         def spy(self, vs, js, record=False):
             groups.append(vs.copy())
-            return sweep(self, vs, js, record)
+            out = sweep(self, vs, js, record)
+            assert out[0].shape[1:] == (len(js), len(vs))  # G[t-1, r, b]: nodes last
+            return out
 
         monkeypatch.setattr(DPTables, "_sweep_group", spy)
         return groups

@@ -10,12 +10,13 @@ summarytree.cli`` from REV's ``src/`` and from the working tree's
 ``src/`` on one seeded matrix of inputs and flags, and prints one line
 per case where the sha256 of the JSON on ``--output``, the JSON on
 stdout, any DOT file, stderr or the exit code differs.  Exits 1 if any
-case differs.  It takes about 70 s on two cores.
+case differs.  It takes about 75 s on two cores.
 
 The matrix: the benchmark inputs of ``perfbench/workloads.py`` at seeds
 1-3 under exact, greedy and approx at epsilon 0.1; tie-heavy and
 zero-heavy integer-weight trees with chains and odd ids, with approx also
-at an epsilon that pads; ``tests/golden/``; and malformed JSON inputs.
+at an epsilon that pads; a path, a broom, a caterpillar and a star under
+each algorithm; ``tests/golden/``; and malformed JSON inputs.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -45,6 +46,7 @@ from workloads import WORKLOADS, workload_arrays, write_csv  # noqa: E402
 SEEDS = (1, 2, 3)
 JOBS = 2  # CLI runs at once; each peaks near 70 MB on the benchmark inputs
 GOLDEN_K = {"odd_ids": 8, "ties": 8, "zero_chain": 17}
+SHAPES = ("path", "broom", "caterpillar", "star")
 # Characters that JSON, CSV or DOT escape or that sort unlike their digits.
 ODD = ['"', ",", "\\", "\n", "\t", "\u00e9", " ", "\U0001d11e", "\u2028", "'"]
 BAD_JSON = {
@@ -61,12 +63,26 @@ BAD_JSON = {
 }
 
 
+def write_tree(path: Path, parents: np.ndarray, weights: np.ndarray, rng) -> None:
+    """Write node i's parent ``parents[i - 1]`` and integer weight as CSV.
+
+    Ids are unpadded numbers, some with a character from ``ODD``, in
+    shuffled order.
+    """
+    n = weights.shape[0]
+    ids = [f"{p}{ODD[p % len(ODD)] if p % 3 == 0 else ''}" for p in rng.permutation(n).tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(["id", "parent", "weight"])
+        out.writerow([ids[0], "", int(weights[0])])
+        out.writerows([ids[c], ids[p], int(weights[c])] for c, p in enumerate(parents.tolist(), 1))
+
+
 def small_tree(path: Path, kind: str, seed: int) -> None:
     """A 300-node tree of integer weights: ``ties`` (0-3) or ``zeros`` (mostly 0).
 
     Half the nodes continue a chain from the node before them, the rest
-    hang under a uniformly drawn earlier node.  Ids are unpadded numbers,
-    some with a character from ``ODD``, in shuffled order.
+    hang under a uniformly drawn earlier node.
     """
     rng = np.random.default_rng([seed, 1 if kind == "ties" else 2])
     n = 300
@@ -79,12 +95,28 @@ def small_tree(path: Path, kind: str, seed: int) -> None:
         weights = np.where(i < 8, rng.integers(0, 4, n - 1), 0)
         weights = np.concatenate(([1], weights))
     weights[0] = 1
-    ids = [f"{p}{ODD[p % len(ODD)] if p % 3 == 0 else ''}" for p in rng.permutation(n).tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(["id", "parent", "weight"])
-        out.writerow([ids[0], "", int(weights[0])])
-        out.writerows([ids[c], ids[p], int(weights[c])] for c, p in enumerate(parents.tolist(), 1))
+    write_tree(path, parents, weights, rng)
+
+
+def shape_tree(path: Path, shape: str) -> None:
+    """A deep or wide tree of integer weights 0-3 (the root weighs at least 1).
+
+    ``path``: 3000 nodes in a line; ``broom``: a 2000-node path whose last
+    node holds 2000 leaves; ``caterpillar``: a 1500-node spine with one
+    leaf per spine node; ``star``: a root with 20,000 leaves.
+    """
+    rng = np.random.default_rng([4, SHAPES.index(shape)])
+    if shape == "path":
+        parents = np.arange(2999)
+    elif shape == "broom":
+        parents = np.concatenate((np.arange(1999), np.full(2000, 1999)))
+    elif shape == "caterpillar":
+        parents = np.concatenate((np.arange(1499), np.arange(1500)))
+    else:
+        parents = np.zeros(20_000, dtype=np.int64)
+    weights = rng.integers(0, 4, parents.shape[0] + 1)
+    weights[0] += 1
+    write_tree(path, parents, weights, rng)
 
 
 def build_cases(inputs: Path) -> list:
@@ -108,6 +140,11 @@ def build_cases(inputs: Path) -> list:
                                 ("approx", ["--epsilon", "4"])):
                 cases.append((f"{kind}-{seed} {algo} {' '.join(flags)}".rstrip(), path,
                               ["-K", "16", "--algorithm", algo, *flags]))
+    for shape in SHAPES:
+        path = inputs / f"{shape}.csv"
+        shape_tree(path, shape)
+        for algo, flags in (("exact", []), ("greedy", []), ("approx", ["--epsilon", "0.1"])):
+            cases.append((f"{shape} {algo}", path, ["-K", "16", "--algorithm", algo, *flags]))
     for name, K in GOLDEN_K.items():
         for algo, flags in (("exact", []), ("greedy", []), ("approx", ["--epsilon", "0.2"])):
             path = ROOT / "tests" / "golden" / f"{name}.csv"
