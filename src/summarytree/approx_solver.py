@@ -273,13 +273,17 @@ def _map_to_original(
 
     A root c stands for ``orig_label[c]`` when kept, and for the zero-sized
     children it removed when a placeholder; a kept singleton stays alone.
+    A placeholder is its parent's only zero-sized child, so it sorts first
+    among the roots, and its children come first, as in root order.
     """
     ol = red.orig_label.tolist()
     out = []
     for nd in nodes:
         a = nd.anchor
-        cs = () if nd.kind == "singleton" and ol[a] else nd.child_roots or (a,)
-        rs = [x for c in cs for x in ([ol[c]] if ol[c] else red.placeholder_roots[c].tolist())]
+        cs = np.array(() if nd.kind == "singleton" and ol[a] else nd.child_roots or (a,), np.int64)
+        orig = red.orig_label[cs]
+        ph = map(red.placeholder_roots.__getitem__, cs[orig == 0].tolist())
+        rs = np.concatenate((*ph, orig[orig != 0]))
         out.append(summary_node(base, ol[a] or ol[red.tree.parent[a]], rs, nd.parent))
     return out
 

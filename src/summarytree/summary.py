@@ -88,13 +88,15 @@ def summary_node(ct: CanonicalTree, anchor: int, roots: Sequence[int], parent: i
 def node_weight(nd: SummaryNode, weight, size):
     """Weight of ``nd`` given per-node ``weight`` and subtree ``size`` arrays.
 
-    A group sums its roots' sizes in ``child_roots`` order.
+    A group sums its roots' sizes in one array reduction, which is exact
+    in any order for integer sizes such as the rounded ones: they are at
+    most W0 < 2**53.
     """
     if nd.kind == "singleton":
         return weight[nd.anchor]
     if nd.kind == "subtree":
         return size[nd.anchor]
-    return sum(size[c] for c in nd.child_roots)
+    return size.take(nd.child_roots).sum()
 
 
 def validate_summary_tree(tree: SummaryTree, ct: CanonicalTree) -> None:

@@ -11,6 +11,11 @@ representation in which
 * per-node subtree sizes, descendant counts, and degrees are
   precomputed.
 
+Every input tree is checked by one builder: :func:`build_tree` (which
+:func:`read_json` calls) and :func:`read_csv` pass columns of ids,
+parent ids and weights through :func:`_parent_index` and
+:func:`_checked`; :func:`from_arrays` passes parent indices to the latter.
+
 Every canonical tree comes from one builder, :func:`_canonical`:
 :func:`canonicalize` calls it with the rank of the external ids as the
 tie key, and the approximation solver's ``reduce_tree`` calls it on the
@@ -18,7 +23,8 @@ reduced tree with the input label as the tie key.  Subtree sizes are
 summed in one fixed float64 order, on which byte-identical results
 depend: ``size[p] = w[p] + size[c_last] + ... + size[c_first]``, added
 left to right, where ``c_first .. c_last`` are p's children in
-increasing input index.
+increasing input index.  A total that overflows in this order is a
+:class:`TreeError`, even where ``weights.sum()`` is finite.
 
 External string ids survive in a label <-> id mapping that is emitted
 alongside all results.
@@ -32,6 +38,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -81,7 +88,8 @@ class InputTree:
 def build_tree(records: Iterable[Record]) -> InputTree:
     """Validate ``(id, parent_id, weight)`` records into an :class:`InputTree`.
 
-    ``parent_id`` is ``None`` (or empty) for the root.
+    ``parent_id`` is ``None`` (or empty) for the root.  The records are
+    unzipped into the checked builder that :func:`read_csv` also uses.
 
     Raises:
         TreeError: an id, or a parent id other than None, that is not a
@@ -93,20 +101,9 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     if not recs:
         raise TreeError("no records")
     ids, parent_ids, weights = zip(*recs)
-    n = len(ids)
-    index = _index(ids)
-    if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
-        i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
-        raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
-    index[None] = index[""] = -1
-    # An unknown parent maps to n, which _checked reports.
-    parent_idx = np.fromiter(map(index.get, parent_ids, repeat(n)), np.int64, n)
-    rest = iter(weights)
-    try:
-        w = np.fromiter(map(_float if _has_non_numbers(weights) else float, rest), np.float64, n)
-    except (TypeError, ValueError, OverflowError):  # rest stops just past the rejected weight
-        i = n - 1 - sum(1 for _ in rest)
-        raise TreeError(f"weight {weights[i]!r} for id {ids[i]!r} is not a float") from None
+    parent_idx = _parent_index(ids, parent_ids)
+    w = _floats(weights, lambda i: f"weight {weights[i]!r} for id {ids[i]!r} is not a float",
+                _float if _has_non_numbers(weights) else float)
     return _checked(ids, parent_idx, w, parent_ids)
 
 
@@ -169,6 +166,15 @@ def _float(x) -> float:
     return float(x)
 
 
+def _floats(values: Sequence, message, convert=float) -> np.ndarray:
+    """``convert`` each value to float64; raises ``TreeError(message(i))`` at the first it rejects."""
+    rest = iter(values)
+    try:
+        return np.fromiter(map(convert, rest), np.float64, len(values))
+    except (TypeError, ValueError, OverflowError):  # rest stops just past the rejected value
+        raise TreeError(message(len(values) - 1 - sum(1 for _ in rest))) from None
+
+
 def _index(ids: tuple) -> dict:
     """Map each id to its position; raises on the first id that is not a string or repeats."""
     if not all(issubclass(t, str) for t in set(map(type, ids))):
@@ -182,6 +188,16 @@ def _index(ids: tuple) -> dict:
                 raise TreeError(f"duplicate id {node_id!r}")
             seen.add(node_id)
     return index
+
+
+def _parent_index(ids: tuple, parent_ids: Sequence) -> np.ndarray:
+    """Check the ids and parent ids; map a root's (None or "") to -1 and an unknown one to n."""
+    index = _index(ids)
+    if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
+        i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
+        raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
+    index[None] = index[""] = -1
+    return np.fromiter(map(index.get, parent_ids, repeat(len(ids))), np.int64, len(ids))
 
 
 def _checked(
@@ -269,6 +285,7 @@ def _canonical(
     ``parent[i]`` is node i's parent index, -1 at ``root``; ``tie`` must
     differ between siblings of equal size; ``ids[i]`` is node i's
     external id.  Returns the tree and the label of every node index.
+    Raises :class:`TreeError` when the folded total overflows.
     """
     n = parent.shape[0]
     weight = np.asarray(weight, dtype=np.float64)
@@ -278,11 +295,12 @@ def _canonical(
     # index: the summation order of the module docstring.
     size = weight.tolist()
     count = [1] * n
-    par = parent.tolist()
-    for v in np.argsort(depth, kind="stable")[:0:-1].tolist():
-        p = par[v]
+    up = np.argsort(depth, kind="stable")[:0:-1]
+    for v, p in zip(up.tolist(), parent[up].tolist()):
         size[p] += size[v]
         count[p] += count[v]
+    if not np.isfinite(size[root]):  # the fold can overflow where _checked's weights.sum() did not
+        raise TreeError("total weight overflows a float64")
     size = np.array(size, dtype=np.float64)
     count = np.array(count, dtype=np.int64)
 
@@ -323,11 +341,12 @@ def _canonical(
         _by_label(depth, order),
         preorder,
         pre_pos_l,
-        [None, *map(ids.__getitem__, order.tolist())],
+        [None, *(itemgetter(*order.tolist())(ids) if n > 1 else (ids[root],))],
     )
     return tree, label
 
 
+@dataclass(eq=False, repr=False)
 class CanonicalTree:
     """Solver-ready form of a weighted rooted tree.
 
@@ -354,30 +373,20 @@ class CanonicalTree:
             tie-break used; on other trees it is computed on first use.
     """
 
-    def __init__(
-        self,
-        weight: np.ndarray,
-        size: np.ndarray,
-        count: np.ndarray,
-        degree: np.ndarray,
-        parent: np.ndarray,
-        first_child: np.ndarray,
-        depth: np.ndarray,
-        preorder: np.ndarray,
-        pre_pos: np.ndarray,
-        ext_of_label: list,
-    ):
-        self.n = weight.shape[0] - 1
-        self.weight = weight
-        self.size = size
-        self.count = count
-        self.degree = degree
-        self.parent = parent
-        self.first_child = first_child
-        self.depth = depth
-        self.preorder = preorder
-        self.pre_pos = pre_pos
-        self.ext_of_label = ext_of_label
+    weight: np.ndarray
+    size: np.ndarray
+    count: np.ndarray
+    degree: np.ndarray
+    parent: np.ndarray
+    first_child: np.ndarray
+    depth: np.ndarray
+    preorder: np.ndarray
+    pre_pos: np.ndarray
+    ext_of_label: list
+
+    @property
+    def n(self) -> int:
+        return self.weight.shape[0] - 1
 
     @property
     def W(self) -> float:
@@ -436,24 +445,41 @@ def canonicalize(t: InputTree) -> CanonicalTree:
 
 
 def read_csv(path) -> InputTree:
-    """Parse the ``id,parent,weight`` CSV format (root row has empty parent)."""
-    records: list[Record] = []
+    """Parse the ``id,parent,weight`` CSV format (root row has empty parent).
+
+    Rows are read into columns, the weights parsed with ``float()`` in one
+    pass, and the columns checked by :func:`build_tree`'s builder.  Blank
+    lines and fields after the third are skipped.  Of a short row and a
+    weight that ``float()`` rejects, the one in the earlier row is reported.
+    """
+    ids, parent_ids, fields = [], [], []
+    long_rows = {}  # index -> a row of more than 3 fields, kept for its message
+
+    def bad(i: int) -> str:
+        return f"bad weight in CSV row {long_rows.get(i, [ids[i], parent_ids[i], fields[i]])!r}"
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
             raise TreeError("CSV header must be 'id,parent,weight'")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise TreeError(f"malformed CSV row: {row!r}")
-            try:
-                weight = float(row[2])
-            except ValueError as exc:
-                raise TreeError(f"bad weight in CSV row {row!r}") from exc
-            records.append((row[0], row[1] or None, weight))
-    return build_tree(records)
+        try:
+            for row in reader:
+                if len(row) != 3:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if len(row) < 3:
+                        raise TreeError(f"malformed CSV row: {row!r}")
+                    long_rows[len(ids)] = row
+                ids.append(row[0])
+                parent_ids.append(row[1])
+                fields.append(row[2])
+        except (TreeError, csv.Error, UnicodeDecodeError):
+            _floats(fields, bad)  # a bad weight in an earlier row is reported first
+            raise
+    w = _floats(fields, bad)
+    ids = tuple(ids)
+    return _checked(ids, _parent_index(ids, parent_ids), w, parent_ids)
 
 
 def read_json(path) -> InputTree:

@@ -62,6 +62,18 @@ def deep_json_chain(depth: int) -> str:
     return head + f'{{"id": "n{depth}", "weight": 1.0}}' + "]}" * depth
 
 
+# A star whose pairwise weights.sum() is finite but whose size fold, which
+# adds the leaves from the last to the first, overflows to inf.
+OVERFLOW_STAR = [("r", None, 0.0), ("l1", "r", 1.3828408729710143e307)] + [
+    (f"l{i}", "r", 1.3828408729710123e307) for i in range(2, 14)
+]
+
+
+def csv_text(records) -> str:
+    """``id,parent,weight`` CSV of records, with exactly round-tripping weights."""
+    return "id,parent,weight\n" + "".join(f"{i},{p or ''},{w!r}\n" for i, p, w in records)
+
+
 @pytest.fixture
 def p4() -> CanonicalTree:
     """Unit-weight path of four nodes; best 2-node split is (1, 3)."""

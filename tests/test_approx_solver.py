@@ -465,3 +465,32 @@ def test_padded_trees_match_reference_node_by_node(seed):
             reference_pad_to_k(nodes, k, ap.reduced, t)
             want = attach_members(SummaryTree(k, 0.0, t.W, nodes), t)
             assert node_fields(tree.nodes) == node_fields(want.nodes)
+
+
+def reference_node_weight(nd, weight, size):
+    """A node's weight summed one root at a time, as node_weight once did."""
+    if nd.kind == "singleton":
+        return weight[nd.anchor]
+    if nd.kind == "subtree":
+        return size[nd.anchor]
+    return sum(size[c] for c in nd.child_roots)
+
+
+def test_star_matches_reference_map_and_rounded_weights():
+    """A 20,000-leaf star: most leaves round to zero, so one placeholder maps to most of them."""
+    rng = np.random.default_rng(11)
+    n = 20_000
+    t = canonicalize(from_arrays(np.r_[-1, np.zeros(n - 1, dtype=np.int64)], rng.random(n) * 8))
+    ap = solve_approx(t, 16, 0.1)
+    (roots,) = ap.reduced.placeholder_roots.values()
+    assert roots.shape[0] > n // 2
+    w_r, s_r = ap.reduced.rounded.w_rounded, ap.reduced.rounded.s_rounded
+    for k, tree in enumerate(ap.trees, start=1):
+        nodes = reference_map_to_original(ap.tables.rebuild(min(k, ap.tables.max_k)), ap.reduced, t)
+        reference_pad_to_k(nodes, k, ap.reduced, t)
+        want = attach_members(SummaryTree(k, 0.0, t.W, nodes), t)
+        assert node_fields(tree.nodes) == node_fields(want.nodes)
+        weights = [reference_node_weight(nd, w_r, s_r) for nd in tree.nodes]
+        assert [node_weight(nd, w_r, s_r) for nd in tree.nodes] == weights
+        ent = sum(0.0 if w == 0 else -(w / ap.W0) * math.log2(w / ap.W0) for w in weights)
+        assert ap.entropy_bits_rounded[k - 1] == pytest.approx(ent, rel=1e-12, abs=1e-12)

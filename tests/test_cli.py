@@ -21,7 +21,7 @@ from summarytree import (
 )
 from summarytree.cli import emit_dot, run
 from summarytree.summary import InvariantError, SummaryNode, SummaryTree
-from tests.conftest import deep_json_chain, make_tree, path_tree
+from tests.conftest import OVERFLOW_STAR, csv_text, deep_json_chain, make_tree, path_tree
 
 GOLDEN = Path(__file__).with_name("golden")
 # Golden inputs and their K: odd ids (non-ASCII, astral, quote, backslash,
@@ -202,6 +202,13 @@ class TestErrors:
         p.write_text("id,parent,weight\nr,,1e308\na,r,1e308\nb,r,1e308\n", encoding="utf-8")
         assert run(["--input", str(p), "-K", "3"]) == 1
         assert capsys.readouterr().err.startswith("error: input:")
+
+    def test_overflowing_size_fold_is_one_input_error_line(self, tmp_path, capsys):
+        p = tmp_path / "star.csv"
+        p.write_text(csv_text(OVERFLOW_STAR), encoding="utf-8")
+        assert run(["--input", str(p), "-K", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: input: total weight overflows a float64\n" and out.out == ""
 
     def test_seed_is_not_a_solve_flag(self, csv_tree, capsys):
         assert run(["--input", str(csv_tree), "-K", "2", "--seed", "1"]) == 1

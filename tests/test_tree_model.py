@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summarytree import TreeError, build_tree, canonicalize, from_arrays, read_csv, read_json
-from tests.conftest import assert_canonical, deep_json_chain, make_tree, tree_records
+from tests.conftest import (OVERFLOW_STAR, assert_canonical, csv_text, deep_json_chain, make_tree,
+                            tree_records)
 
 
 class TestBuildTree:
@@ -21,6 +25,12 @@ class TestBuildTree:
     def test_overflowing_total_weight_rejected(self):
         with pytest.raises(TreeError, match="total weight"):
             build_tree([("r", None, 1e308), ("a", "r", 1e308), ("b", "r", 1e308)])
+
+    def test_overflowing_size_fold_rejected(self):
+        t = build_tree(OVERFLOW_STAR)
+        assert np.isfinite(t.weights.sum())
+        with pytest.raises(TreeError, match="^total weight overflows a float64$"):
+            canonicalize(t)
 
     def test_cycle_rejected(self):
         with pytest.raises(TreeError, match="cycle|root"):
@@ -106,6 +116,12 @@ class TestFromArrays:
         assert a.ids == b.ids and a.root == b.root
         assert np.array_equal(a.parent_idx, b.parent_idx)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_overflowing_size_fold_rejected(self):
+        parents = [-1] + [0] * (len(OVERFLOW_STAR) - 1)
+        t = from_arrays(parents, [w for _, _, w in OVERFLOW_STAR])
+        with pytest.raises(TreeError, match="^total weight overflows a float64$"):
+            canonicalize(t)
 
     def test_parent_index_out_of_range_rejected(self):
         for parents in ([-1, 5], [-1, 2], [-1, -2]):
@@ -332,3 +348,100 @@ class TestFileFormats:
         p.write_text(deep_json_chain(3000), encoding="utf-8")
         with pytest.raises(TreeError, match="too deep.*CSV"):
             read_json(p)
+
+
+def reference_read_csv(path):
+    """Read the CSV one row at a time into records, as read_csv once did."""
+    records = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
+            raise TreeError("CSV header must be 'id,parent,weight'")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < 3:
+                raise TreeError(f"malformed CSV row: {row!r}")
+            try:
+                weight = float(row[2])
+            except ValueError as exc:
+                raise TreeError(f"bad weight in CSV row {row!r}") from exc
+            records.append((row[0], row[1] or None, weight))
+    return build_tree(records)
+
+
+def _read_outcome(read, path):
+    """The tree ``read`` returns, weights as int64 bits, or its TreeError message."""
+    try:
+        t = read(path)
+    except TreeError as exc:
+        return str(exc)
+    return t.ids, t.parent_idx.tolist(), t.weights.view(np.int64).tolist(), t.root
+
+
+CSV_IDS = ["r", "a", "b", "a,b", 'q"', "\u00e9\nx"]
+CSV_WEIGHTS = ["1", "0", "2.5", " 3 ", "-1", "-0", "nan", "inf", "1e400", "1_0", "0x1", "abc", ""]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text mixing good rows with short, long, blank and bad-weight rows and duplicate ids."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=eol)
+    writer.writerow(draw(st.sampled_from([["id", "parent", "weight"], [" ID", "Parent ", "weight", "x"],
+                                          ["id", "parent"]])))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "short", "long", "blank"]))
+        if kind == "blank":
+            out.write(draw(st.sampled_from(["", "   ", "\t", " , ", ","])) + eol)
+            continue
+        row = [draw(st.sampled_from(CSV_IDS)), draw(st.sampled_from(["", "zz", *CSV_IDS])),
+               draw(st.sampled_from(CSV_WEIGHTS)) if draw(st.booleans()) else "1"]
+        if kind == "short":
+            row = row[: draw(st.integers(1, 2))]
+        elif kind == "long":
+            row += draw(st.lists(st.sampled_from(["x", "", "2"]), min_size=1, max_size=2))
+        writer.writerow(row)
+    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+
+
+@settings(max_examples=300)
+@given(csv_files())
+def test_read_csv_matches_row_by_row_reference(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_csv, p) == _read_outcome(reference_read_csv, p)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("r,,1\na,r,x\nb\n", "bad weight in CSV row ['a', 'r', 'x']"),
+     ("r,,1\nb\na,r,x\n", "malformed CSV row: ['b']"),
+     ("r,,1,note\na,r,x,y,\n", "bad weight in CSV row ['a', 'r', 'x', 'y', '']"),
+     ("r,,1\na,r,2,y\na,r,x\n", "bad weight in CSV row ['a', 'r', 'x']"),
+     ("r,,1\n\n  \na,r,2,y\na,r,3\n", "duplicate id 'a'")],
+    ids=["bad-weight-first", "short-row-first", "long-row", "bad-weight-after-long-row",
+         "duplicate-after-blank"],
+)
+def test_csv_faults_in_row_order(tmp_path, rows, message):
+    p = tmp_path / "t.csv"
+    p.write_text("id,parent,weight\n" + rows, encoding="utf-8")
+    assert _read_outcome(read_csv, p) == message == _read_outcome(reference_read_csv, p)
+
+
+def test_csv_bad_weight_before_undecodable_bytes(tmp_path):
+    # The bad byte lies beyond the reader's first decoded chunk, so the row
+    # by row reader met the bad weight first.
+    p = tmp_path / "t.csv"
+    rows = "".join(f"n{i},r,1\n" for i in range(4000))
+    p.write_bytes(b"id,parent,weight\nr,,1\na,r,x\n" + rows.encode() + b"z,r,\xff\n")
+    want = "bad weight in CSV row ['a', 'r', 'x']"
+    assert _read_outcome(read_csv, p) == want == _read_outcome(reference_read_csv, p)
+
+
+def test_csv_columns_equal_records_on_overflow_star(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(csv_text(OVERFLOW_STAR), encoding="utf-8")
+    assert _read_outcome(read_csv, p) == _read_outcome(lambda _: build_tree(OVERFLOW_STAR), p)

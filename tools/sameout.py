@@ -16,7 +16,9 @@ The matrix: the benchmark inputs of ``perfbench/workloads.py`` at seeds
 1-3 under exact, greedy and approx at epsilon 0.1; tie-heavy and
 zero-heavy integer-weight trees with chains and odd ids, with approx also
 at an epsilon that pads; a path, a broom, a caterpillar and a star under
-each algorithm; ``tests/golden/``; and malformed JSON inputs.
+each algorithm; ``tests/golden/``; malformed JSON inputs; and CSV inputs
+with row faults, blank lines, extra fields, a BOM with CRLF and quoted ids,
+no rows, no header, and a star whose size fold overflows.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -60,6 +62,21 @@ BAD_JSON = {
     "false": '{"id": "r", "weight": 1, "children": [{"id": "a", "weight": false}]}',
     "string": '{"id": "r", "weight": 1, "children": [{"id": "a", "weight": "2"}]}',
     "missing": '{"id": "r", "children": []}',
+}
+# Row faults and layouts read_csv handles; a bad weight in an earlier row is
+# reported before a later short row.  The star's pairwise weight sum is
+# finite, but its size fold overflows.
+BAD_CSV = {
+    "short-after-bad": "id,parent,weight\nr,,1\na,r,x\nb\n",
+    "short-before-bad": "id,parent,weight\nr,,1\nb\na,r,x\n",
+    "extra-field": "id,parent,weight\nr,,1,note\na,r,2\nb,a,x,y\n",
+    "extra-field-ok": "id,parent,weight\nr,,1,note\na,r,2,,\nb,a,3\n",
+    "blank-lines": "id,parent,weight\n\nr,,1\n   \na,r,2\n\t\nb,r,3\n\n",
+    "bom-crlf-quoted": '\ufeffid,parent,weight\r\n"r,1",,1\r\n"a\nb","r,1",2\r\n"c""","a\nb",3\r\n',
+    "header-only": "id,parent,weight\n",
+    "empty": "",
+    "overflow-star": "id,parent,weight\nr,,0.0\nl1,r,1.3828408729710143e+307\n"
+    + "".join(f"l{i},r,1.3828408729710123e+307\n" for i in range(2, 14)),
 }
 
 
@@ -153,6 +170,10 @@ def build_cases(inputs: Path) -> list:
         path = inputs / f"bad-{name}.json"
         path.write_text(text, encoding="utf-8")
         cases.append((f"bad json {name}", path, ["-K", "2"]))
+    for name, text in BAD_CSV.items():
+        path = inputs / f"bad-{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        cases.append((f"bad csv {name}", path, ["-K", "2"]))
     return cases
 
 
