@@ -11,9 +11,10 @@ additive epsilon of the true optimum once W0 is of order
 
 The reduced tree keeps at most W0 positive-weight nodes.  Zero-weight
 subtrees hanging off a positively-sized node are replaced by a single
-zero-weight placeholder child that remembers the removed ids, and long
-descending chains of zero-weight nodes are recorded so the solver can
-shift tables across them in O(K) instead of sweeping every chain node.
+zero-weight placeholder child, which stands for the zero-rounded-size
+children of its parent's input node.  Descending chains of zero-weight
+nodes are recorded as top -> bottom, so the solver can shift tables
+across them in O(K) instead of sweeping every chain node.
 
 The DP is the exact solver's :class:`DPTables`, built on the reduced
 tree with its chains.  Every node it rebuilds becomes a new node of the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy_core import _terms
-from .exact_solver import DPTables, _Chain
+from .exact_solver import DPTables
 from .summary import (InvariantError, SummaryNode, SummaryTree, attach_members, node_weight,
                       summary_node)
 from .tree_model import CanonicalTree, _canonical
@@ -147,17 +148,17 @@ class ReducedTree:
 
     ``tree`` is a canonical tree over fresh labels whose children are
     ordered by rounded size.  ``orig_label`` maps reduced labels back to
-    input labels (0 for placeholders); ``placeholder_roots`` maps each
-    placeholder to the removed input children it stands for; ``chains``
-    records maximal compressible zero-weight chains; ``rounded`` is the
-    rounding the tree was reduced from.
+    input labels (0 for placeholders; a placeholder stands for the
+    zero-rounded-size children of its parent's input node).  ``chains``
+    maps the top of each maximal zero-weight chain to its bottom, in
+    label order (see :func:`_find_chains`).  ``rounded`` is the rounding
+    the tree was reduced from.
     """
 
     tree: CanonicalTree
     rounded: RoundedTree
     orig_label: np.ndarray
-    placeholder_roots: dict[int, np.ndarray]
-    chains: dict[int, _Chain]
+    chains: dict[int, int]
 
 
 def reduce_tree(rt: RoundedTree) -> ReducedTree:
@@ -178,10 +179,9 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
     # Reduced-node index of every kept input label.
     tmp_of_orig = np.zeros(scaled.n + 1, dtype=np.int64)
     tmp_of_orig[kept] = np.arange(n_kept)
-    # Zero-sized children of kept nodes; in label order, so grouped by parent.
+    # Kept nodes with a zero-sized child, one placeholder each.
     zero = np.flatnonzero(s[2:] == 0) + 2
-    zero = zero[s[scaled.parent[zero]] > 0]
-    ph_parent, ph_start = np.unique(scaled.parent[zero], return_index=True)
+    ph_parent = np.unique(scaled.parent[zero[s[scaled.parent[zero]] > 0]])
     n_ph = ph_parent.shape[0]
 
     # Reduced nodes: the kept nodes, root first, then one placeholder per
@@ -196,53 +196,35 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
 
     orig_label = np.zeros(tree.n + 1, dtype=np.int64)
     orig_label[label] = orig
-    ph_label = label[n_kept:].tolist()
-    for lab in ph_label:
+    for lab in label[n_kept:].tolist():
         tree.ext_of_label[lab] = f"~other~{lab}"
-    placeholder_roots = dict(zip(ph_label, np.split(zero, ph_start[1:])))
-
-    return ReducedTree(tree, rt, orig_label, placeholder_roots, _find_chains(tree))
+    return ReducedTree(tree, rt, orig_label, _find_chains(tree))
 
 
-def _find_chains(t: CanonicalTree) -> dict[int, _Chain]:
-    """Locate maximal descending chains of zero-weight pass-through nodes.
+def _find_chains(t: CanonicalTree) -> dict[int, int]:
+    """Map the top of each maximal descending zero-weight chain to its bottom.
 
     A chain node has weight zero and either one child, or two children of
-    which exactly one is a zero-weight leaf; the chain continues into the
-    other child.  Chains are keyed by their top, in label order.
+    which the first is a zero-weight leaf; its last child continues the
+    chain.  In a reduced tree a zero leaf is a placeholder, its parent's
+    only zero-sized child, so it sorts first.  The bottom is the first
+    node below the top that is not a chain node.  Chains are keyed by
+    their top, in label order.
     """
     deg = t.degree
     fc = t.first_child
     zero = t.weight == 0
-    zero_leaf = zero & (deg == 0)
-    two = np.flatnonzero(zero & (deg == 2))
-    z1 = zero_leaf[fc[two]]  # the zero leaf comes first
-    keep = z1 != zero_leaf[fc[two] + 1]
-    two, z1 = two[keep], z1[keep]
-    candidate = zero & (deg == 1)
-    continuation = np.where(candidate, fc, 0)
-    continuation[two] = np.where(z1, fc[two] + 1, fc[two])
-    zleaf = np.zeros(t.n + 1, dtype=np.int64)
-    zleaf[two] = np.where(z1, fc[two], fc[two] + 1)
-    candidate[two] = True
-    candidate[0] = False
-    # A candidate's only child besides its continuation is a leaf, so a
-    # candidate under a candidate is interior to a chain.
-    tops = np.flatnonzero(candidate & ~candidate[t.parent])
-
-    candidate = candidate.tolist()
-    continuation = continuation.tolist()
-    zleaf = zleaf.tolist()
-    chains: dict[int, _Chain] = {}
-    for v in tops.tolist():
-        seq = []
-        cur = v
-        while candidate[cur]:
-            seq.append((cur, zleaf[cur]))
-            cur = continuation[cur]
-        lprime = sum(1 for _, z in seq if z)
-        chains[v] = _Chain(v, cur, len(seq), lprime, tuple(seq))
-    return chains
+    on = zero & ((deg == 1) | ((deg == 2) & zero[fc] & (deg[fc] == 0)))
+    on[0] = False
+    # Pointer jumping: below[v] doubles its reach down the chain each step.
+    below = np.where(on, fc + deg - 1, np.arange(t.n + 1))
+    chain = np.flatnonzero(on)
+    while on[below[chain]].any():
+        below[chain] = below[below[chain]]
+    # A chain node's only child besides its continuation is a leaf, so a
+    # chain node under a chain node is interior to a chain.
+    tops = np.flatnonzero(on & ~on[t.parent])
+    return dict(zip(tops.tolist(), below[tops].tolist()))
 
 
 @dataclass
@@ -271,20 +253,25 @@ def _map_to_original(
 ) -> list[SummaryNode]:
     """Rebuild reduced-tree summary nodes as nodes of the input tree.
 
-    A root c stands for ``orig_label[c]`` when kept, and for the zero-sized
-    children it removed when a placeholder; a kept singleton stays alone.
-    A placeholder is its parent's only zero-sized child, so it sorts first
-    among the roots, and its children come first, as in root order.
+    A root c stands for ``orig_label[c]`` when kept; a kept singleton
+    stays alone.  A placeholder stands for the zero-rounded-size children
+    of the input node y the rebuilt node hangs from, in label order.  It
+    is its parent's only zero-sized child, so it sorts first among the
+    roots, and its children come first, as in root order.
     """
     ol = red.orig_label.tolist()
+    s_r = red.rounded.s_rounded
     out = []
     for nd in nodes:
         a = nd.anchor
+        y = ol[a] or ol[red.tree.parent[a]]
         cs = np.array(() if nd.kind == "singleton" and ol[a] else nd.child_roots or (a,), np.int64)
-        orig = red.orig_label[cs]
-        ph = map(red.placeholder_roots.__getitem__, cs[orig == 0].tolist())
-        rs = np.concatenate((*ph, orig[orig != 0]))
-        out.append(summary_node(base, ol[a] or ol[red.tree.parent[a]], rs, nd.parent))
+        rs = red.orig_label[cs]
+        if rs.shape[0] and rs[0] == 0:
+            fc = int(base.first_child[y])
+            zero = np.flatnonzero(s_r[fc : fc + int(base.degree[y])] == 0) + fc
+            rs = np.concatenate((zero, rs[1:]))
+        out.append(summary_node(base, y, rs, nd.parent))
     return out
 
 

@@ -96,7 +96,7 @@ def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -
     """
     enc = encode_basestring_ascii
     num = float.__repr__
-    blocks: dict = {}  # the encoded member lines of each member tuple
+    blocks: dict = {}  # id() of a member tuple, alive through the write -> its encoded lines
     pairs = ",\n  ".join(map("{}: {}".format, map(enc, ct.ext_of_label[1:]), range(1, ct.n + 1)))
     fh.write(f'{{\n "input_id_map": {{\n  {pairs}\n }},\n "W": {num(ct.W)},\n')
     fh.write(f' "K": {int.__repr__(args.K)},\n "algorithm": {enc(args.algorithm)},\n "results": [')
@@ -105,9 +105,9 @@ def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -
         fh.write('   "nodes": [')
         labels = _labels(tree, ct)
         for i, (label, nd) in enumerate(zip(labels, tree.nodes)):
-            members = blocks.get(nd.members)
+            members = blocks.get(id(nd.members))
             if members is None:
-                members = blocks[nd.members] = ",\n      ".join(map(enc, nd.members))
+                members = blocks[id(nd.members)] = ",\n      ".join(map(enc, nd.members))
             parent = "null" if nd.parent < 0 else enc(labels[nd.parent])
             fh.write(f'{"," * (i > 0)}\n    {{\n     "label": {enc(label)},\n')
             fh.write(f'     "kind": {enc(nd.kind)},\n     "members": [\n      {members}\n     ],\n')

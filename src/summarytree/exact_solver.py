@@ -48,15 +48,15 @@ and the trees of all k share one member tuple per distinct node.
 
 One object, :class:`DPTables`, fills and reconstructs the tables for all
 three solvers: exact (:func:`solve_exact`), greedy (:func:`solve_greedy`)
-and approx, which builds it on its reduced tree with the recorded
-zero-weight ``chains``.  ``rebuild(k)`` yields the :class:`SummaryNode`
-list of an optimal tree, built by :func:`summary.summary_node`;
-``reconstruct(k)`` adds the entropy and the members.
+and approx, which builds it on its reduced tree with ``chains`` mapping
+each zero-weight chain's top to its bottom, whose table the top's shifts.
+``rebuild(k)`` yields the :class:`SummaryNode` list of an optimal tree,
+built by :func:`summary.summary_node`; ``reconstruct(k)`` adds the
+entropy and the members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,22 +73,6 @@ NEG_INF = float("-inf")
 _SWEEP_BYTES = 1 << 20
 
 
-@dataclass
-class _Chain:
-    """A compressed descending chain of zero-weight nodes (reduced trees only).
-
-    ``seq`` lists the chain nodes top-down as (node, zero_leaf_or_0);
-    ``bottom`` is the positively-sized child under the last chain node.
-    The table at the top is the bottom's table shifted by l + lprime.
-    """
-
-    top: int
-    bottom: int
-    l: int
-    lprime: int
-    seq: tuple[tuple[int, int], ...]
-
-
 class DPTables:
     """Bottom-up DP tables F(v, k) plus reconstruction, shared by all solvers.
 
@@ -97,9 +81,10 @@ class DPTables:
     pseudo-entropy equals the entropy, so ``entropy_bits(k)`` reads the
     table directly.  ``mode="greedy"`` drops the near-prefix classes and
     absorbs one more child into every seed.  ``chains`` (reduced trees
-    only) maps each chain top to its :class:`_Chain`; the top's table is
-    the bottom's shifted, and the interior chain nodes get no table, so
-    ``value`` raises on them.
+    only) maps the top of each zero-weight chain to its bottom, the first
+    node below it off the chain.  The top's table is the bottom's shifted
+    by ``count[top] - count[bottom]``, and the interior chain nodes get no
+    table, so ``value`` raises on them.
 
     ``pair_cost`` is the sum of min(prefix, K) * min(child, K) over
     prefix-class combining steps, where prefix is the descendant count
@@ -135,7 +120,14 @@ class DPTables:
         n = tree.n
         caps = np.minimum(K, tree.count).astype(np.int64)
         caps[0] = 0
-        caps[[node for ch in self.chains.values() for node, _ in ch.seq[1:]]] = 0
+        if self.chains:
+            # In preorder, a chain's interior nodes and zero leaves lie
+            # between its top and its bottom; the zero leaves keep a table.
+            pos = tree.pre_pos
+            edge = np.bincount(pos[list(self.chains)] + 1, minlength=n)
+            edge -= np.bincount(pos[list(self.chains.values())], minlength=n)
+            between = tree.preorder[np.cumsum(edge) > 0]
+            caps[between[tree.degree[between] > 0]] = 0
         offs = np.zeros(n + 1, dtype=np.int64)
         offs[1:] = np.cumsum(caps[1:]) - caps[1:]
         self.caps = caps
@@ -163,9 +155,9 @@ class DPTables:
         self.F[self.offs[has]] = self.ps[has]  # chain tops are overwritten below
         # Interior chain nodes alone have no table, and are not filled.
         filled = (deg > 0) & has
-        chains = self.chains
-        swept = filled.copy()
-        swept[list(chains)] = False
+        bottom = np.zeros(t.n + 1, dtype=np.int64)  # each chain top's bottom, else 0
+        bottom[list(self.chains)] = list(self.chains.values())
+        swept = filled & (bottom == 0)
         self.pair_cost = self._pair_cost(swept) if self.K > 1 else 0
 
         # Heights, one depth level at a time from the bottom: labels are
@@ -189,8 +181,7 @@ class DPTables:
         for lo, hi in zip(firsts, firsts[1:] + [nodes.shape[0]]):
             d = int(key[lo])
             if d == 0:
-                for v in nodes[lo:hi].tolist():
-                    self._fill_chain_top(chains[v])
+                self._fill_chain_tops(nodes[lo:hi], bottom[nodes[lo:hi]])
             elif self.K > 1:
                 self._fill_group(nodes[lo:hi], d)
 
@@ -214,15 +205,13 @@ class DPTables:
         cost = np.minimum(prefix, K) * np.minimum(t.count[child], K)
         return int(cost[charged].sum())
 
-    def _fill_chain_top(self, ch: _Chain) -> None:
-        off_v = self.offs[ch.top]
-        cap_v = int(self.caps[ch.top])
-        off_u = self.offs[ch.bottom]
-        shift = ch.l + ch.lprime
-        s = min(shift, cap_v)
-        self.F[off_v : off_v + s] = self.F[off_u]
-        if cap_v > s:
-            self.F[off_v + s : off_v + cap_v] = self.F[off_u : off_u + cap_v - s]
+    def _fill_chain_tops(self, tops: np.ndarray, bottoms: np.ndarray) -> None:
+        """Entry c of each top is entry max(c - count[top] + count[bottom], 0) of its bottom."""
+        count = self.tree.count
+        cols = np.arange(self.K)[:, None]
+        keep = cols < self.caps[tops]
+        src = self.offs[bottoms] + np.maximum(cols - (count[tops] - count[bottoms]), 0)
+        self.F[(self.offs[tops] + cols)[keep]] = self.F[src[keep]]
 
     def _sweep_start(self, d: int) -> int:
         """First child position a sweep combines; earlier children seed it."""
@@ -404,7 +393,7 @@ class DPTables:
         while stack:
             v, kk, par = stack.pop()
             if kk > 1 and v in self.chains:
-                self._walk_chain(self.chains[v], kk, par, nodes, stack)
+                self._walk_chain(v, kk, par, nodes, stack)
                 continue
             if kk == 1 or int(t.count[v]) == 1:
                 nodes.append(summary_node(t, v, (v,), par))
@@ -418,28 +407,24 @@ class DPTables:
                 stack.append((c, kc, me))
         return nodes
 
-    def _walk_chain(self, ch: _Chain, kk: int, par: int, nodes, stack) -> None:
-        """Re-materialize a zero-weight chain: peel singletons down to the budget."""
+    def _walk_chain(self, v: int, kk: int, par: int, nodes, stack) -> None:
+        """Peel singletons off the zero-weight chain from top v down to the budget kk."""
         t = self.tree
-        b = kk
-        cur = par
-        seq = ch.seq
-        for idx, (vi, zi) in enumerate(seq):
-            if b == 1:
-                nodes.append(summary_node(t, vi, (vi,), cur))
-                return
-            me = len(nodes)
-            nodes.append(summary_node(t, vi, (), cur))
-            cur = me
-            b -= 1
-            if zi:
-                if b == 1:
-                    nxt = seq[idx + 1][0] if idx + 1 < len(seq) else ch.bottom
-                    nodes.append(summary_node(t, vi, sorted((zi, nxt)), cur))
+        bottom = self.chains[v]
+        while v != bottom and kk > 1:
+            nodes.append(summary_node(t, v, (), par))
+            par = len(nodes) - 1
+            kk -= 1
+            z = int(t.first_child[v])
+            nxt = z + int(t.degree[v]) - 1  # the last child continues the chain
+            if z < nxt:  # z is a zero leaf
+                if kk == 1:
+                    nodes.append(summary_node(t, v, (z, nxt), par))
                     return
-                nodes.append(summary_node(t, zi, (zi,), cur))
-                b -= 1
-        stack.append((ch.bottom, b, cur))
+                nodes.append(summary_node(t, z, (z,), par))
+                kk -= 1
+            v = nxt
+        stack.append((v, kk, par))  # popped next: a chain node left at budget 1 is one subtree
 
     def _rebuild_node(self, v: int, kk: int):
         t = self.tree

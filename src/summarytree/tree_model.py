@@ -449,8 +449,9 @@ def read_csv(path) -> InputTree:
 
     Rows are read into columns, the weights parsed with ``float()`` in one
     pass, and the columns checked by :func:`build_tree`'s builder.  Blank
-    lines and fields after the third are skipped.  Of a short row and a
-    weight that ``float()`` rejects, the one in the earlier row is reported.
+    lines and fields after the third are skipped.  Of a short row, a field
+    longer than ``csv.field_size_limit()`` and a weight that ``float()``
+    rejects, the one in the earliest row is reported.
     """
     ids, parent_ids, fields = [], [], []
     long_rows = {}  # index -> a row of more than 3 fields, kept for its message
@@ -460,10 +461,10 @@ def read_csv(path) -> InputTree:
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
-            raise TreeError("CSV header must be 'id,parent,weight'")
         try:
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
+                raise TreeError("CSV header must be 'id,parent,weight'")
             for row in reader:
                 if len(row) != 3:
                     if not row or (len(row) == 1 and not row[0].strip()):
@@ -474,8 +475,10 @@ def read_csv(path) -> InputTree:
                 ids.append(row[0])
                 parent_ids.append(row[1])
                 fields.append(row[2])
-        except (TreeError, csv.Error, UnicodeDecodeError):
+        except (TreeError, csv.Error, UnicodeDecodeError) as exc:
             _floats(fields, bad)  # a bad weight in an earlier row is reported first
+            if isinstance(exc, csv.Error):  # a field over csv.field_size_limit()
+                raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
             raise
     w = _floats(fields, bad)
     ids = tuple(ids)

@@ -187,3 +187,45 @@ def random_canonical(rng: np.random.Generator, n: int, weights: str = "uniform")
     from summarytree import random_tree
 
     return canonicalize(random_tree(n, weights=weights, seed=rng))
+
+
+def reference_chains(t: CanonicalTree) -> list:
+    """(top, bottom, seq) of each maximal zero-weight chain, found node by node.
+
+    A chain node weighs zero and has one child, or two children of which
+    exactly one is a zero-weight leaf (either one); the other child
+    continues the chain.  ``seq`` lists the chain nodes top-down as
+    (node, zero leaf or 0), and the bottom is the first node after them.
+    """
+    cont, zleaf = {}, {}
+    for v in range(1, t.n + 1):
+        kids = list(t.children(v))
+        if t.weight[v] != 0 or len(kids) not in (1, 2):
+            continue
+        zero_leaf = [t.degree[c] == 0 and t.weight[c] == 0 for c in kids]
+        if len(kids) == 1:
+            cont[v], zleaf[v] = kids[0], 0
+        elif zero_leaf[0] != zero_leaf[1]:
+            z = 0 if zero_leaf[0] else 1
+            cont[v], zleaf[v] = kids[1 - z], kids[z]
+    out = []
+    for v in sorted(cont):
+        if cont.get(int(t.parent[v])) == v:
+            continue  # interior of a longer chain
+        seq, cur = [], v
+        while cur in cont:
+            seq.append((cur, zleaf[cur]))
+            cur = cont[cur]
+        out.append((v, cur, tuple(seq)))
+    return out
+
+
+def zero_chain_records(length: int = 3000) -> list:
+    """A root of weight 1 over a ``length``-node zero-weight chain ending in a leaf of weight 2.
+
+    Every third chain node also holds a zero-weight leaf, so the chain mixes
+    degree-1 nodes with nodes whose first child is a zero leaf.
+    """
+    recs = [("r", None, 1.0)] + [(f"c{i}", f"c{i - 1}" if i else "r", 0.0) for i in range(length)]
+    recs += [(f"z{i}", f"c{i}", 0.0) for i in range(1, length, 3)]
+    return recs + [("u", f"c{length - 1}", 2.0)]

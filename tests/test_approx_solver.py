@@ -17,39 +17,50 @@ from summarytree.approx_solver import discrepancy_round, reduce_tree, rescale
 from summarytree.summary import (InvariantError, SummaryTree, attach_members, node_weight,
                                  summary_node)
 from summarytree.tree_model import from_arrays
-from tests.conftest import assert_canonical, make_tree, path_tree, star_tree, tree_records
+from tests.conftest import (assert_canonical, make_tree, path_tree, reference_chains, star_tree,
+                            tree_records)
 
 
 def chain_records(red):
-    return [(c.top, c.bottom, c.l, c.lprime) for c in red.chains.values()]
+    """(top, bottom, l, lprime) of each chain, counted node by node.
+
+    ``red.chains`` must map exactly the reference tops to their bottoms, in
+    label order, and each top's count must exceed its bottom's by the l
+    chain nodes plus the lprime zero leaves between them.
+    """
+    ref = reference_chains(red.tree)
+    assert list(red.chains.items()) == [(top, bottom) for top, bottom, _ in ref]
+    out = [(top, bottom, len(seq), sum(1 for _, z in seq if z)) for top, bottom, seq in ref]
+    count = red.tree.count
+    assert all(count[top] - count[bottom] == l + lp for top, bottom, l, lp in out)
+    return out
 
 
 def positive_weight_nodes(red):
     return int((red.tree.weight[1:] > 0).sum())
 
 
-def reference_chains(t):
-    """Maximal zero-weight chains found by a per-node loop over the reduced tree."""
-    cont, zleaf = {}, {}
+def reference_placeholder_roots(red, base):
+    """The removed input children each placeholder stands for, collected per input node.
+
+    An input node of zero rounded size under a positively sized one is
+    removed, and the one placeholder under its parent's reduced node
+    stands for it.
+    """
+    t, ol = red.tree, red.orig_label.tolist()
+    s_r = red.rounded.s_rounded
+    reduced_of = {o: v for v, o in enumerate(ol) if o}
+    ph_of = {}
     for v in range(1, t.n + 1):
-        kids = list(t.children(v))
-        if t.weight[v] != 0 or len(kids) not in (1, 2):
-            continue
-        zero_leaf = [t.degree[c] == 0 and t.weight[c] == 0 for c in kids]
-        if len(kids) == 1:
-            cont[v], zleaf[v] = kids[0], 0
-        elif zero_leaf[0] != zero_leaf[1]:
-            z = 0 if zero_leaf[0] else 1
-            cont[v], zleaf[v] = kids[1 - z], kids[z]
-    out = []
-    for v in sorted(cont):
-        if cont.get(int(t.parent[v])) == v:
-            continue  # interior of a longer chain
-        seq, cur = [], v
-        while cur in cont:
-            seq.append((cur, zleaf[cur]))
-            cur = cont[cur]
-        out.append((v, cur, len(seq), sum(1 for _, z in seq if z), tuple(seq)))
+        if not ol[v]:
+            assert int(t.parent[v]) not in ph_of, "two placeholders under one node"
+            ph_of[int(t.parent[v])] = v
+    out = {}
+    for c in range(2, base.n + 1):
+        p = int(base.parent[c])
+        if s_r[c] == 0 and s_r[p] > 0:
+            out.setdefault(ph_of[reduced_of[p]], []).append(c)
+    assert sorted(out) == sorted(ph_of.values())
     return out
 
 
@@ -152,8 +163,10 @@ class TestReduceTree:
         t = star_tree(5.0, [0, 0, 0, 0, 0, 0])
         red = reduce_tree(discrepancy_round(t))
         assert red.tree.n == 2
-        (roots,) = red.placeholder_roots.values()
+        (roots,) = reference_placeholder_roots(red, t).values()
         assert sorted(t.ext(int(v)) for v in roots) == [f"l{i}" for i in range(6)]
+        (group,) = [nd for nd in solve_approx(t, 2, 0.5).trees[1].nodes if nd.kind == "group"]
+        assert group.child_roots == tuple(roots)
 
     def test_zero_chain_recorded(self):
         t = make_tree(
@@ -208,10 +221,24 @@ class TestReduceTree:
             t = canonicalize(from_arrays(parents, weights))
             for w0 in (1, 3, 10):
                 red = reduce_tree(discrepancy_round(rescale(t, w0)))
-                got = [(c.top, c.bottom, c.l, c.lprime, c.seq) for c in red.chains.values()]
-                assert got == reference_chains(red.tree)
-                found += len(got)
+                found += len(chain_records(red))
         assert found > 500
+
+    @given(tree_records(max_n=40, integer_weights=True))
+    @settings(max_examples=40)
+    def test_zero_leaf_is_first_and_only_zero_child(self, recs):
+        """No zero-weight node has a zero leaf after its first child, so chains need no other case."""
+        t = make_tree(recs)
+        for w0 in (1, 2, 7, 40):
+            rt = discrepancy_round(rescale(t, w0))
+            if rt.s_rounded[1] <= 0:
+                continue
+            red = reduce_tree(rt).tree
+            for v in range(1, red.n + 1):
+                kids = list(red.children(v))
+                zero = [c for c in kids if red.size[c] == 0]
+                assert all(red.degree[c] == 0 and red.weight[c] == 0 for c in zero)
+                assert zero in ([], kids[:1])
 
     def test_interior_chain_nodes_have_no_table(self):
         rng = np.random.default_rng(28)
@@ -222,9 +249,15 @@ class TestReduceTree:
             weights = np.where(rng.random(n) < 0.9, 0.0, rng.integers(1, 4, n)).astype(float)
             weights[0] += 1.0
             tables = solve_approx(canonicalize(from_arrays(parents, weights)), 8, 0.5).tables
-            for ch in tables.chains.values():
-                tables.value(ch.top, 1)
-                for v, _ in ch.seq[1:]:
+            ref = reference_chains(tables.tree)
+            assert tables.chains == {top: bottom for top, bottom, _ in ref}
+            for top, _, seq in ref:
+                tables.value(top, 1)
+                for v, z in seq:
+                    if z:
+                        assert tables.value(z, 1) == 0.0  # zero leaves keep their table
+                    if v == top:
+                        continue
                     with pytest.raises(ValueError, match="outside"):
                         tables.value(v, 1)
                     interior += 1
@@ -381,6 +414,7 @@ class TestSolveApprox:
 def reference_map_to_original(nodes, red, base):
     """Map reduced-tree nodes back by editing them in place, as solve_approx once did."""
     ol = red.orig_label
+    placeholder_roots = reference_placeholder_roots(red, base)
     for i, nd in enumerate(nodes):
         if nd.kind == "group":
             roots = []
@@ -389,13 +423,13 @@ def reference_map_to_original(nodes, red, base):
                 if oc:
                     roots.append(oc)
                 else:
-                    roots.extend(int(x) for x in red.placeholder_roots[c])
+                    roots.extend(placeholder_roots[c])
             nodes[i] = summary_node(base, int(ol[nd.anchor]), roots, nd.parent)
         elif ol[nd.anchor]:
             nd.anchor = int(ol[nd.anchor])
             nd.weight = float(node_weight(nd, base.weight, base.size))
         else:  # a placeholder stands for the zero-sized children it removed
-            roots = list(red.placeholder_roots[nd.anchor])
+            roots = list(placeholder_roots[nd.anchor])
             parent_orig = int(ol[red.tree.parent[nd.anchor]])
             nodes[i] = summary_node(base, parent_orig, roots, nd.parent)
     return nodes
@@ -482,8 +516,8 @@ def test_star_matches_reference_map_and_rounded_weights():
     n = 20_000
     t = canonicalize(from_arrays(np.r_[-1, np.zeros(n - 1, dtype=np.int64)], rng.random(n) * 8))
     ap = solve_approx(t, 16, 0.1)
-    (roots,) = ap.reduced.placeholder_roots.values()
-    assert roots.shape[0] > n // 2
+    (roots,) = reference_placeholder_roots(ap.reduced, t).values()
+    assert len(roots) > n // 2
     w_r, s_r = ap.reduced.rounded.w_rounded, ap.reduced.rounded.s_rounded
     for k, tree in enumerate(ap.trees, start=1):
         nodes = reference_map_to_original(ap.tables.rebuild(min(k, ap.tables.max_k)), ap.reduced, t)

@@ -210,6 +210,15 @@ class TestErrors:
         out = capsys.readouterr()
         assert out.err == "error: input: total weight overflows a float64\n" and out.out == ""
 
+    def test_overlong_id_is_one_input_error_line(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("id,parent,weight\nr,,1\n" + "a" * 200_000 + ",r,2\n", encoding="utf-8")
+        assert run(["--input", str(p), "-K", "2"]) == 1
+        out = capsys.readouterr()
+        limit = csv.field_size_limit()
+        assert out.err == f"error: input: CSV line 3: field larger than field limit ({limit})\n"
+        assert out.out == ""
+
     def test_seed_is_not_a_solve_flag(self, csv_tree, capsys):
         assert run(["--input", str(csv_tree), "-K", "2", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: usage:")

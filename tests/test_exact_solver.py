@@ -23,13 +23,24 @@ from tests.conftest import (
     extreme_tree_records,
     make_tree,
     path_tree,
+    reference_chains,
     root_group_roots,
     star_tree,
     tree_records,
+    zero_chain_records,
 )
 
 H_1_3 = 0.8112781244591328
 NEG_INF = float("-inf")
+
+
+def chains_of(tables) -> list:
+    """(top, bottom, seq) of each chain the tables hold, as the per-node reference finds them."""
+    if not tables.chains:
+        return []
+    ref = reference_chains(tables.tree)
+    assert tables.chains == {top: bottom for top, bottom, _ in ref}
+    return ref
 
 
 def reference_pair_cost(tables) -> int:
@@ -43,7 +54,7 @@ def reference_pair_cost(tables) -> int:
     t, K = tables.tree, tables.K
     if K == 1:
         return 0
-    chained = {v for ch in tables.chains.values() for v, _ in ch.seq}
+    chained = {v for _, _, seq in chains_of(tables) for v, _ in seq}
     total = 0
     for v in range(1, t.n + 1):
         d = int(t.degree[v])
@@ -103,7 +114,8 @@ def reference_fill(tables):
     """
     t, K, W = tables.tree, tables.K, tables.tree.W
     greedy = tables.mode == "greedy"
-    interior = {v for ch in tables.chains.values() for v, _ in ch.seq[1:]}
+    chains = {top: (bottom, seq) for top, bottom, seq in chains_of(tables)}
+    interior = {v for _, seq in chains.values() for v, _ in seq[1:]}
     caps = np.minimum(K, t.count).astype(np.int64)
     caps[0] = 0
     caps[list(interior)] = 0  # interior chain nodes have no table
@@ -116,9 +128,10 @@ def reference_fill(tables):
         off, cap, d = int(offs[v]), int(caps[v]), int(t.degree[v])
         if v in interior:
             continue
-        ch = tables.chains.get(v)
-        if ch is not None:
-            u, s = int(offs[ch.bottom]), min(ch.l + ch.lprime, cap)
+        if v in chains:
+            # Shift by the chain nodes and zero leaves between v and its bottom.
+            bottom, seq = chains[v]
+            u, s = int(offs[bottom]), min(len(seq) + sum(1 for _, z in seq if z), cap)
             F[off : off + s] = F[u]
             F[off + s : off + cap] = F[u : u + cap - s]
             continue
@@ -318,6 +331,21 @@ class TestStackedSweep:
             self.check(tables)
             chains += len(tables.chains)
         assert chains > 20
+
+    def test_long_zero_chain_with_zero_leaves(self):
+        # One 3000-node chain, a third of its nodes with a zero leaf, ending in a positive leaf.
+        t = make_tree(zero_chain_records(3000))
+        for K in (2, 5, 16):
+            for eps in (0.5, 0.1):
+                ap = solve_approx(t, K, eps)
+                ((top, bottom, seq),) = chains_of(ap.tables)
+                assert len(seq) == 3000 and sum(1 for _, z in seq if z) == 1000
+                assert ap.reduced.tree.ext(bottom) == "u"
+                self.check(ap.tables)
+                plain = DPTables(ap.reduced.tree, K)  # sweeps every chain node
+                assert ap.tables.all_entropy_bits() == pytest.approx(plain.all_entropy_bits(), abs=1e-12)
+                for tree in ap.trees:
+                    validate_summary_tree(tree, t)
 
     @staticmethod
     def _record_groups(monkeypatch) -> list:

@@ -431,6 +431,26 @@ def test_csv_faults_in_row_order(tmp_path, rows, message):
     assert _read_outcome(read_csv, p) == message == _read_outcome(reference_read_csv, p)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("id,parent,weight\nr,,1\n" + "a" * 200_000 + ",r,2\n", 3),
+     ("id,parent,weight\nr,,1\na,r,2\nb,a," + "1" * 200_000 + "\n", 4),
+     ("id,parent," + "w" * 200_000 + "\nr,,1\n", 1)],
+    ids=["long-id", "long-weight", "long-header"],
+)
+def test_csv_overlong_field_is_tree_error(tmp_path, text, line):
+    p = tmp_path / "t.csv"
+    p.write_text(text, encoding="utf-8")
+    want = f"CSV line {line}: field larger than field limit ({csv.field_size_limit()})"
+    assert _read_outcome(read_csv, p) == want
+
+
+def test_csv_bad_weight_before_overlong_field(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("id,parent,weight\nr,,1\na,r,x\n" + "b" * 200_000 + ",r,2\n", encoding="utf-8")
+    assert _read_outcome(read_csv, p) == "bad weight in CSV row ['a', 'r', 'x']"
+
+
 def test_csv_bad_weight_before_undecodable_bytes(tmp_path):
     # The bad byte lies beyond the reader's first decoded chunk, so the row
     # by row reader met the bad weight first.

@@ -16,9 +16,11 @@ The matrix: the benchmark inputs of ``perfbench/workloads.py`` at seeds
 1-3 under exact, greedy and approx at epsilon 0.1; tie-heavy and
 zero-heavy integer-weight trees with chains and odd ids, with approx also
 at an epsilon that pads; a path, a broom, a caterpillar and a star under
-each algorithm; ``tests/golden/``; malformed JSON inputs; and CSV inputs
-with row faults, blank lines, extra fields, a BOM with CRLF and quoted ids,
-no rows, no header, and a star whose size fold overflows.
+each algorithm; a 3000-node zero-weight chain under approx;
+``tests/golden/``; malformed JSON inputs; and CSV inputs with row faults,
+blank lines, extra fields, a BOM with CRLF and quoted ids, no rows, no
+header, a star whose size fold overflows and an id longer than the csv
+module's field limit.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -65,7 +67,8 @@ BAD_JSON = {
 }
 # Row faults and layouts read_csv handles; a bad weight in an earlier row is
 # reported before a later short row.  The star's pairwise weight sum is
-# finite, but its size fold overflows.
+# finite, but its size fold overflows.  The long id exceeds
+# csv.field_size_limit().
 BAD_CSV = {
     "short-after-bad": "id,parent,weight\nr,,1\na,r,x\nb\n",
     "short-before-bad": "id,parent,weight\nr,,1\nb\na,r,x\n",
@@ -77,6 +80,7 @@ BAD_CSV = {
     "empty": "",
     "overflow-star": "id,parent,weight\nr,,0.0\nl1,r,1.3828408729710143e+307\n"
     + "".join(f"l{i},r,1.3828408729710123e+307\n" for i in range(2, 14)),
+    "long-id": "id,parent,weight\nr,,1\n" + "a" * 200_000 + ",r,2\n",
 }
 
 
@@ -136,6 +140,18 @@ def shape_tree(path: Path, shape: str) -> None:
     write_tree(path, parents, weights, rng)
 
 
+def zero_chain(path: Path) -> None:
+    """A root of weight 1 over a 3000-node zero-weight chain ending in a leaf of weight 2.
+
+    Every third chain node also holds a zero-weight leaf, so the reduced
+    tree keeps one chain that mixes degree-1 nodes with placeholders.
+    """
+    parents = np.concatenate((np.arange(3000), np.arange(2, 3001, 3), [3000]))
+    weights = np.zeros(parents.shape[0] + 1, dtype=np.int64)
+    weights[0], weights[-1] = 1, 2
+    write_tree(path, parents, weights, np.random.default_rng(5))
+
+
 def build_cases(inputs: Path) -> list:
     """(name, input path, flags) for every case of the matrix, writing its inputs."""
     cases = []
@@ -162,6 +178,11 @@ def build_cases(inputs: Path) -> list:
         shape_tree(path, shape)
         for algo, flags in (("exact", []), ("greedy", []), ("approx", ["--epsilon", "0.1"])):
             cases.append((f"{shape} {algo}", path, ["-K", "16", "--algorithm", algo, *flags]))
+    path = inputs / "zero-chain.csv"
+    zero_chain(path)
+    for eps in ("0.5", "0.1"):
+        cases.append((f"zero-chain approx {eps}", path,
+                      ["-K", "16", "--algorithm", "approx", "--epsilon", eps]))
     for name, K in GOLDEN_K.items():
         for algo, flags in (("exact", []), ("greedy", []), ("approx", ["--epsilon", "0.2"])):
             path = ROOT / "tests" / "golden" / f"{name}.csv"
