@@ -192,7 +192,7 @@ def reduce_tree(rt: RoundedTree) -> ReducedTree:
     orig = np.concatenate((kept, np.zeros(n_ph, dtype=np.int64)))
     weight = np.concatenate((rt.w_rounded[kept], np.zeros(n_ph, dtype=np.int64)))
     ids = list(map(scaled.ext_of_label.__getitem__, kept.tolist())) + [None] * n_ph
-    tree, label = _canonical(parent, 0, weight, orig, ids)
+    tree, label = _canonical(parent, 0, weight, np.argsort(orig, kind="stable"), ids)
 
     orig_label = np.zeros(tree.n + 1, dtype=np.int64)
     orig_label[label] = orig
@@ -249,7 +249,7 @@ class ApproxResult:
 
 
 def _map_to_original(
-    nodes: list[SummaryNode], red: ReducedTree, base: CanonicalTree
+    nodes: list[SummaryNode], red: ReducedTree, base: CanonicalTree, mapped: dict
 ) -> list[SummaryNode]:
     """Rebuild reduced-tree summary nodes as nodes of the input tree.
 
@@ -257,21 +257,28 @@ def _map_to_original(
     stays alone.  A placeholder stands for the zero-rounded-size children
     of the input node y the rebuilt node hangs from, in label order.  It
     is its parent's only zero-sized child, so it sorts first among the
-    roots, and its children come first, as in root order.
+    roots, and its children come first, as in root order.  Apart from its
+    parent, a rebuilt node depends only on the reduced node's (kind,
+    anchor, child_roots); ``mapped`` keeps it under that key, and the
+    trees of later k copy it with their own parent.
     """
-    ol = red.orig_label.tolist()
+    ol = red.orig_label
     s_r = red.rounded.s_rounded
     out = []
     for nd in nodes:
-        a = nd.anchor
-        y = ol[a] or ol[red.tree.parent[a]]
-        cs = np.array(() if nd.kind == "singleton" and ol[a] else nd.child_roots or (a,), np.int64)
-        rs = red.orig_label[cs]
-        if rs.shape[0] and rs[0] == 0:
-            fc = int(base.first_child[y])
-            zero = np.flatnonzero(s_r[fc : fc + int(base.degree[y])] == 0) + fc
-            rs = np.concatenate((zero, rs[1:]))
-        out.append(summary_node(base, y, rs, nd.parent))
+        key = (nd.kind, nd.anchor, nd.child_roots)
+        m = mapped.get(key)
+        if m is None:
+            a = nd.anchor
+            y = int(ol[a] or ol[red.tree.parent[a]])
+            alone = nd.kind == "singleton" and ol[a]
+            rs = ol[np.array(() if alone else nd.child_roots or (a,), np.int64)]
+            if rs.shape[0] and rs[0] == 0:
+                fc = int(base.first_child[y])
+                zero = np.flatnonzero(s_r[fc : fc + int(base.degree[y])] == 0) + fc
+                rs = np.concatenate((zero, rs[1:]))
+            m = mapped[key] = summary_node(base, y, rs, -1)
+        out.append(replace(m, parent=nd.parent))
     return out
 
 
@@ -340,8 +347,9 @@ def solve_approx(t: CanonicalTree, K: int, epsilon: float) -> ApproxResult:
     ents: list[float] = []
     ents_rounded: list[float] = []
     members: dict = {}  # member tuple of each distinct node, shared across k
+    mapped: dict = {}  # each distinct reduced node rebuilt on the input tree
     for k in range(1, min(K, t.n) + 1):
-        nodes = _map_to_original(tables.rebuild(min(k, tables.max_k)), reduced, t)
+        nodes = _map_to_original(tables.rebuild(min(k, tables.max_k)), reduced, t, mapped)
         _pad_to_k(nodes, k, reduced, t)
         ent = float(_terms(np.array([nd.weight for nd in nodes]), W).sum())
         weight_r = np.array([node_weight(nd, w_r, s_r) for nd in nodes], dtype=np.float64)

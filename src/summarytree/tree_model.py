@@ -15,15 +15,24 @@ Every input tree is checked by one builder: :func:`build_tree` (which
 :func:`read_json` calls) and :func:`read_csv` pass columns of ids,
 parent ids and weights through :func:`_parent_index` and
 :func:`_checked`; :func:`from_arrays` passes parent indices to the latter.
+:func:`read_csv` splits a plain file into its columns without the
+``csv`` module: after any BOM it is UTF-8 with no ``"``, no NUL and no
+``\r`` outside ``\r\n``, its header passes the header check, every later
+line holds exactly two commas and no field is longer than
+``csv.field_size_limit()``.  ``csv.reader`` would cut such a file at
+the same commas and line ends.  Any other file is read row by row by
+``csv.reader``.  (Python 3.10's ``csv`` rejects a NUL, 3.11 reads it, so
+a NUL always takes the row path.)
 
 Every canonical tree comes from one builder, :func:`_canonical`:
-:func:`canonicalize` calls it with the rank of the external ids as the
-tie key, and the approximation solver's ``reduce_tree`` calls it on the
-reduced tree with the input label as the tie key.  Subtree sizes are
-summed in one fixed float64 order, on which byte-identical results
-depend: ``size[p] = w[p] + size[c_last] + ... + size[c_first]``, added
-left to right, where ``c_first .. c_last`` are p's children in
-increasing input index.  A total that overflows in this order is a
+:func:`canonicalize` calls it with the external ids' order as the tie
+order, and the approximation solver's ``reduce_tree`` calls it on the
+reduced tree with the input labels' order.  Subtree sizes are summed in
+one fixed float64 order, on which byte-identical results depend:
+``size[p] = w[p] + size[c_last] + ... + size[c_first]``, added left to
+right, where ``c_first .. c_last`` are p's children in increasing input
+index.  :func:`_fold` keeps that order while it folds one depth level
+at a time, deepest first.  A total that overflows in this order is a
 :class:`TreeError`, even where ``weights.sum()`` is finite.
 
 External string ids survive in a label <-> id mapping that is emitted
@@ -32,6 +41,7 @@ alongside all results.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
 import json
@@ -59,6 +69,15 @@ Record = tuple[str, Optional[str], float]
 # float() or numpy's float64 cast takes these, but they are not weights; the
 # cast drops the imaginary part of a numpy complex with only a warning.
 _NOT_NUMBERS = (bool, np.bool_, str, bytes, np.complexfloating)
+
+# A depth level whose parents have fewer children than this per degree bucket
+# is folded by the scalar loop: there numpy's fixed cost per bucket outweighs
+# the work.  Levels of 1 parent fold equally fast either way near 40 children.
+_NARROW = 40
+
+# Rows a plain CSV is split into columns at a time; each block's weight
+# strings are parsed and freed before the next block is split.
+_BLOCK_ROWS = 1 << 16
 
 
 class TreeError(ValueError):
@@ -277,35 +296,100 @@ def _by_label(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold(
+    parent: np.ndarray, root: int, weight: np.ndarray, depth: np.ndarray, degree: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree sizes and counts, each size summed in the module docstring's order.
+
+    The parents are sorted once by (depth, degree) and folded a depth
+    level at a time, deepest first.  A level whose parents have at least
+    :data:`_NARROW` children per degree bucket is folded a bucket at a
+    time: the rows ``[w[p], size[c_last], ..., size[c_first]]`` of its
+    parents are summed by ``np.add.accumulate``, which adds in sequence
+    (``np.add.reduceat`` does not).  Each stretch of narrower levels is
+    folded by one scalar loop over Python lists, so a deep thin tree pays
+    no numpy call per level.
+    """
+    n = parent.shape[0]
+    size = weight.copy()
+    count = np.ones(n, dtype=np.int64)
+    pars = np.flatnonzero(degree)
+    if pars.shape[0] == 0:
+        return size, count
+    key = depth[pars] * n + degree[pars]
+    order = np.argsort(key)
+    pars, key = pars[order], key[order]
+    # Children grouped by parent in pars order, each parent's by increasing
+    # index: kids[off[i]:off[i + 1]] are the children of pars[i].
+    rank = np.zeros(n, dtype=np.int64)
+    rank[pars] = np.arange(pars.shape[0])
+    kid_key = rank[parent] * n + np.arange(n)
+    kid_key[root] = -1
+    kids = np.argsort(kid_key)[1:]
+    off = np.concatenate(([0], np.cumsum(degree[pars])))
+
+    # Levels and buckets as ranges of pars; a stretch is a run of levels
+    # that are all narrow or all wide.
+    level = np.flatnonzero(np.diff(depth[pars], prepend=-1))
+    level_end = np.append(level[1:], pars.shape[0])
+    new_bucket = np.diff(key, prepend=-1) != 0
+    bucket = np.flatnonzero(new_bucket)
+    bucket_end = np.append(bucket[1:], pars.shape[0])
+    seen = np.cumsum(new_bucket)  # buckets begun up to each position
+    b_lo, b_hi = seen[level] - 1, seen[level_end - 1]  # bucket[b_lo:b_hi] are a level's
+    narrow = off[level_end] - off[level] < _NARROW * (b_hi - b_lo)
+    first = np.flatnonzero(np.diff(narrow, prepend=not narrow[0]))
+    last = np.append(first[1:], level.shape[0]) - 1
+    slot = np.empty(n, dtype=np.int64)
+    for i, j in zip(first.tolist()[::-1], last.tolist()[::-1]):  # stretches deepest first
+        if narrow[i]:
+            # Levels i..j one child at a time, deepest child first, on lists
+            # that hold only the nodes this stretch touches.
+            v = kids[off[level[i]] : off[level_end[j]]]
+            local = np.concatenate((v, pars[level[i] : level_end[i]]))
+            slot[local] = np.arange(local.shape[0])
+            s, c = size[local].tolist(), count[local].tolist()
+            for x, y in zip(range(v.shape[0] - 1, -1, -1), slot[parent[v[::-1]]].tolist()):
+                s[y] += s[x]
+                c[y] += c[x]
+            size[local], count[local] = s, c
+            continue
+        own = slice(b_lo[i], b_hi[j])
+        for a, b in zip(bucket[own][::-1].tolist(), bucket_end[own][::-1].tolist()):
+            p = pars[a:b]
+            ch = kids[off[a] : off[b]].reshape(b - a, -1)
+            rows = np.empty((ch.shape[1] + 1, b - a))
+            rows[0] = size[p]
+            rows[1:] = size[ch.T[::-1]]
+            size[p] = np.add.accumulate(rows, out=rows)[-1]
+            count[p] += count[ch].sum(axis=1)
+    return size, count
+
+
 def _canonical(
-    parent: np.ndarray, root: int, weight: np.ndarray, tie: np.ndarray, ids: Sequence
+    parent: np.ndarray, root: int, weight: np.ndarray, by_tie: np.ndarray, ids: Sequence
 ) -> tuple["CanonicalTree", np.ndarray]:
     """Label a validated tree: children by (size, tie), labels breadth-first.
 
-    ``parent[i]`` is node i's parent index, -1 at ``root``; ``tie`` must
-    differ between siblings of equal size; ``ids[i]`` is node i's
-    external id.  Returns the tree and the label of every node index.
-    Raises :class:`TreeError` when the folded total overflows.
+    ``parent[i]`` is node i's parent index, -1 at ``root``; ``by_tie``
+    lists the node indices in increasing tie order, which must tell
+    apart siblings of equal size; ``ids[i]`` is node i's external id.
+    Returns the tree and the label of every node index.  Raises
+    :class:`TreeError` when the folded total overflows.
     """
     n = parent.shape[0]
     weight = np.asarray(weight, dtype=np.float64)
     depth, _ = _path_sums(parent, root, np.ones(n, dtype=np.int64))
-
-    # Sizes and counts, deepest first and within a depth by decreasing
-    # index: the summation order of the module docstring.
-    size = weight.tolist()
-    count = [1] * n
-    up = np.argsort(depth, kind="stable")[:0:-1]
-    for v, p in zip(up.tolist(), parent[up].tolist()):
-        size[p] += size[v]
-        count[p] += count[v]
+    degree = np.bincount(parent + 1, minlength=n + 1)[1:]
+    with np.errstate(over="ignore"):
+        size, count = _fold(parent, root, weight, depth, degree)
     if not np.isfinite(size[root]):  # the fold can overflow where _checked's weights.sum() did not
         raise TreeError("total weight overflows a float64")
-    size = np.array(size, dtype=np.float64)
-    count = np.array(count, dtype=np.int64)
 
     # Children grouped by parent in (size, tie) order; the root sorts first.
-    kids = np.lexsort((tie, size, parent))[1:]
+    position = np.empty(n, dtype=np.int64)
+    position[by_tie[np.argsort(size[by_tie], kind="stable")]] = np.arange(n)
+    kids = np.argsort(parent * n + position)[1:]
     kid_count = count[kids]
     before = np.cumsum(kid_count) - kid_count
     first = np.ones(n - 1, dtype=bool)
@@ -317,11 +401,11 @@ def _canonical(
     pre_pos, _ = _path_sums(parent, root, offset)
 
     # Breadth-first labels: within one depth, BFS order is preorder.
-    order = np.lexsort((pre_pos, depth))
+    order = np.argsort(depth * n + pre_pos)
     label = np.empty(n, dtype=np.int64)
     label[order] = np.arange(1, n + 1)
 
-    degree = _by_label(np.bincount(parent + 1, minlength=n + 1)[1:], order)
+    degree = _by_label(degree, order)
     parent_l = np.zeros(n + 1, dtype=np.int64)
     parent_l[2:] = label[parent[order[1:]]]
     first_child = np.zeros(n + 1, dtype=np.int64)
@@ -436,34 +520,110 @@ def canonicalize(t: InputTree) -> CanonicalTree:
     siblings are consecutive and every parent label precedes its
     children's.  The id rank behind the tie-break is kept as ``id_rank``.
     """
-    rank = np.empty(t.n, dtype=np.int64)
-    rank[sorted(range(t.n), key=t.ids.__getitem__)] = np.arange(t.n)
-    tree, label = _canonical(t.parent_idx, t.root, t.weights, rank, t.ids)
+    by_id = np.fromiter(sorted(range(t.n), key=t.ids.__getitem__), np.int64, t.n)
+    tree, label = _canonical(t.parent_idx, t.root, t.weights, by_id, t.ids)
     tree.id_rank = np.zeros(t.n + 1, dtype=np.int64)
-    tree.id_rank[label] = rank
+    tree.id_rank[label[by_id]] = np.arange(t.n)
     return tree
 
 
 def read_csv(path) -> InputTree:
     """Parse the ``id,parent,weight`` CSV format (root row has empty parent).
 
-    Rows are read into columns, the weights parsed with ``float()`` in one
-    pass, and the columns checked by :func:`build_tree`'s builder.  Blank
-    lines and fields after the third are skipped.  Of a short row, a field
-    longer than ``csv.field_size_limit()`` and a weight that ``float()``
-    rejects, the one in the earliest row is reported.
+    A plain file is split into columns by :func:`_plain_columns`; any other
+    is read row by row by :func:`_csv_rows`.  Both parse the weights with
+    ``float()``, and the columns are checked by :func:`build_tree`'s
+    builder.  Blank lines and fields after the third are skipped.  Of a
+    short row, a field longer than ``csv.field_size_limit()`` and a weight
+    that ``float()`` rejects, the one in the earliest row is reported.
     """
+    with open(path, "rb") as fh:
+        columns = _plain_columns(fh.read())
+    ids, parent_ids, w = _csv_rows(path) if columns is None else columns
+    ids = tuple(ids)
+    return _checked(ids, _parent_index(ids, parent_ids), w, parent_ids)
+
+
+def _is_header(row: list) -> bool:
+    return [c.strip().lower() for c in row[:3]] == ["id", "parent", "weight"]
+
+
+def _bad_row(row: list) -> str:
+    return f"bad weight in CSV row {row!r}"
+
+
+def _plain_columns(data: bytes) -> Optional[tuple[list, list, np.ndarray]]:
+    """The id, parent id and weight columns of a plain CSV file, or None for any other.
+
+    ``data`` is the file's bytes; the module docstring says which files
+    are plain.  The columns are the ones :func:`_csv_rows` would read.
+    The rows are split, and their weights parsed, a block at a time.
+    """
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    ends = _plain_line_ends(data)
+    if ends is None:
+        return None
+    ids, parent_ids = [], []
+    w = np.empty(ends.shape[0] - 1)
+    for lo in range(0, w.shape[0], _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, w.shape[0])
+        text = data[ends[lo] + 1 : ends[hi]].decode().replace("\r", "")
+        fields = text.replace("\n", ",").split(",")
+        ids += fields[0::3]
+        parent_ids += fields[1::3]
+        w[lo:hi] = _floats(fields[2::3], lambda i: _bad_row(fields[3 * i : 3 * i + 3]))
+    return ids, parent_ids, w
+
+
+def _plain_line_ends(data: bytes) -> Optional[np.ndarray]:
+    """Offsets of the ``\\n`` that ends each line of a plain CSV, the header's first.
+
+    A last line without one ends at ``len(data)``.  Returns None when
+    ``data`` is not plain.  Commas and newlines are found in one numpy
+    pass over the bytes; no byte of a multibyte UTF-8 character equals
+    either.
+    """
+    if b'"' in data or b"\0" in data or b"\n" not in data:
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    try:  # before any weight is parsed: csv.reader's error order depends on the bad byte's place
+        data.decode()
+    except UnicodeDecodeError:
+        return None
+    b = np.frombuffer(data, np.uint8)
+    sep = b == ord(",")
+    sep |= b == ord("\n")  # in place: a freed temporary can stay resident in the heap
+    sep = np.flatnonzero(sep)
+    kind = b[sep]
+    head = int(np.argmax(kind == ord("\n")))
+    rows = kind[head + 1 :]
+    if not data.endswith(b"\n"):
+        rows = np.append(rows, ord("\n"))
+    # In bytes, and with the \r of a \r\n: never shorter than the field csv.reader sees.
+    longest = max(int(sep[0]), int(np.diff(sep).max(initial=1)) - 1, len(data) - 1 - int(sep[-1]))
+    if (rows.shape[0] % 3 or (rows.reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)).any()
+            or longest > csv.field_size_limit()
+            or not _is_header(data[: sep[head]].decode().removesuffix("\r").split(","))):
+        return None
+    ends = sep[head::3]
+    return ends.copy() if data.endswith(b"\n") else np.append(ends, len(data))
+
+
+def _csv_rows(path) -> tuple[list, list, np.ndarray]:
+    """The id, parent id and weight columns of any CSV file, read row by row by ``csv.reader``."""
     ids, parent_ids, fields = [], [], []
     long_rows = {}  # index -> a row of more than 3 fields, kept for its message
 
     def bad(i: int) -> str:
-        return f"bad weight in CSV row {long_rows.get(i, [ids[i], parent_ids[i], fields[i]])!r}"
+        return _bad_row(long_rows.get(i, [ids[i], parent_ids[i], fields[i]]))
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
+            if header is None or not _is_header(header):
                 raise TreeError("CSV header must be 'id,parent,weight'")
             for row in reader:
                 if len(row) != 3:
@@ -477,12 +637,10 @@ def read_csv(path) -> InputTree:
                 fields.append(row[2])
         except (TreeError, csv.Error, UnicodeDecodeError) as exc:
             _floats(fields, bad)  # a bad weight in an earlier row is reported first
-            if isinstance(exc, csv.Error):  # a field over csv.field_size_limit()
+            if isinstance(exc, csv.Error):  # a field over the limit, or a NUL before Python 3.11
                 raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
             raise
-    w = _floats(fields, bad)
-    ids = tuple(ids)
-    return _checked(ids, _parent_index(ids, parent_ids), w, parent_ids)
+    return ids, parent_ids, _floats(fields, bad)
 
 
 def read_json(path) -> InputTree:

@@ -68,6 +68,12 @@ OVERFLOW_STAR = [("r", None, 0.0), ("l1", "r", 1.3828408729710143e307)] + [
     (f"l{i}", "r", 1.3828408729710123e307) for i in range(2, 14)
 ]
 
+# The same for a star of 100 leaves, wide enough that the fold sums the
+# root's children with numpy rather than in a Python loop.
+WIDE_OVERFLOW_STAR = [("r", None, 0.0)] + [
+    (f"l{i}", "r", 1.7976931348623125e306) for i in range(100)
+]
+
 
 def csv_text(records) -> str:
     """``id,parent,weight`` CSV of records, with exactly round-tripping weights."""

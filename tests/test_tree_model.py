@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summarytree import TreeError, build_tree, canonicalize, from_arrays, read_csv, read_json
-from tests.conftest import (OVERFLOW_STAR, assert_canonical, csv_text, deep_json_chain, make_tree,
-                            tree_records)
+from summarytree.tree_model import _NARROW
+from tests.conftest import (OVERFLOW_STAR, WIDE_OVERFLOW_STAR, assert_canonical, csv_text,
+                            deep_json_chain, make_tree, tree_records)
 
 
 class TestBuildTree:
@@ -31,6 +33,17 @@ class TestBuildTree:
         assert np.isfinite(t.weights.sum())
         with pytest.raises(TreeError, match="^total weight overflows a float64$"):
             canonicalize(t)
+
+    def test_overflowing_fold_of_a_wide_level_rejected(self, tmp_path):
+        assert len(WIDE_OVERFLOW_STAR) - 1 >= _NARROW  # the fold sums the leaves with numpy
+        p = tmp_path / "t.csv"
+        p.write_text(csv_text(WIDE_OVERFLOW_STAR), encoding="utf-8")
+        for t in (build_tree(WIDE_OVERFLOW_STAR), read_csv(p)):
+            assert np.isfinite(t.weights.sum())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TreeError, match="^total weight overflows a float64$"):
+                    canonicalize(t)
 
     def test_cycle_rejected(self):
         with pytest.raises(TreeError, match="cycle|root"):
@@ -281,6 +294,39 @@ def test_sizes_match_independent_traversal(recs):
         assert float(t.size[v]) == folded[t.ext(v)]
 
 
+def _fold_shapes() -> dict:
+    """Parent lists whose depth levels fall on both sides of the fold's narrow cutoff."""
+    rng = np.random.default_rng(9)
+    shapes = {}
+    for name, k in (("below", _NARROW - 1), ("at", _NARROW), ("above", _NARROW + 1)):
+        # Every spine node holds the next one and k - 1 leaves: k children a level.
+        shapes[f"comb-{name}-cutoff"] = [-1, *range(29), *np.repeat(np.arange(30), k - 1).tolist()]
+    shapes["uniform"] = [-1, *(rng.random(2999) * np.arange(1, 3000)).astype(int).tolist()]
+    # A wide level, a long path below one of its nodes and a wide fan at its end.
+    fan = 3 * _NARROW
+    shapes["fan-path-fan"] = [-1, *[0] * fan, 1, *range(fan + 1, fan + 100), *[fan + 100] * fan]
+    shapes["binary"] = [-1, *((np.arange(1, 2047) - 1) // 2).tolist()]
+    return shapes
+
+
+FOLD_SHAPES = _fold_shapes()
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_fold_matches_per_node_reference(shape):
+    rng = np.random.default_rng(len(FOLD_SHAPES[shape]))
+    # 1.0 next to 1e16 is lost or kept depending on the order of the sum.
+    w = rng.choice([1e16, 1.0, 3.0, 0.5], len(FOLD_SHAPES[shape]), p=[0.1, 0.3, 0.3, 0.3])
+    recs = [(f"n{i}", None if p < 0 else f"n{p}", float(x))
+            for i, (p, x) in enumerate(zip(FOLD_SHAPES[shape], w))]
+    t = make_tree(recs)
+    folded = _folded_subtree_sums(recs)
+    assert t.size[1:].tolist() == [folded[i] for i in t.ext_of_label[1:]]
+    assert folded != _independent_subtree_sums(recs)  # the order changes bits here
+    counts = _independent_subtree_sums([(i, p, 1.0) for i, p, _ in recs])
+    assert t.count[1:].tolist() == [counts[i] for i in t.ext_of_label[1:]]
+
+
 @given(tree_records())
 def test_labeling_invariants(recs):
     t = make_tree(recs)
@@ -351,23 +397,30 @@ class TestFileFormats:
 
 
 def reference_read_csv(path):
-    """Read the CSV one row at a time into records, as read_csv once did."""
+    """Read the CSV one row at a time into records, as read_csv once did.
+
+    A ``csv.Error`` (a field over the limit, or a NUL before Python 3.11)
+    is reported as read_csv reports it.
+    """
     records = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
-            raise TreeError("CSV header must be 'id,parent,weight'")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise TreeError(f"malformed CSV row: {row!r}")
-            try:
-                weight = float(row[2])
-            except ValueError as exc:
-                raise TreeError(f"bad weight in CSV row {row!r}") from exc
-            records.append((row[0], row[1] or None, weight))
+        try:
+            header = next(reader, None) or []
+            if [c.strip().lower() for c in header[:3]] != ["id", "parent", "weight"]:
+                raise TreeError("CSV header must be 'id,parent,weight'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 3:
+                    raise TreeError(f"malformed CSV row: {row!r}")
+                try:
+                    weight = float(row[2])
+                except ValueError as exc:
+                    raise TreeError(f"bad weight in CSV row {row!r}") from exc
+                records.append((row[0], row[1] or None, weight))
+        except csv.Error as exc:
+            raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
     return build_tree(records)
 
 
@@ -380,31 +433,51 @@ def _read_outcome(read, path):
     return t.ids, t.parent_idx.tolist(), t.weights.view(np.int64).tolist(), t.root
 
 
-CSV_IDS = ["r", "a", "b", "a,b", 'q"', "\u00e9\nx"]
+# The plain ids need no quotes; "@" stands for a NUL, put in after csv.writer.
+PLAIN_IDS = ["r", "a", "b", "c", "\u00e9 x"]
+CSV_IDS = [*PLAIN_IDS, "a,b", 'q"', "\u00e9\nx", "n@"]
 CSV_WEIGHTS = ["1", "0", "2.5", " 3 ", "-1", "-0", "nan", "inf", "1e400", "1_0", "0x1", "abc", ""]
+ROW_KINDS = ["row", "row", "row", "row", "short", "long", "blank", "pair"]
 
 
 @st.composite
 def csv_files(draw):
-    """CSV text mixing good rows with short, long, blank and bad-weight rows and duplicate ids."""
+    """CSV text mixing good rows with short, long, blank and bad-weight rows and duplicate ids.
+
+    About half the files use only ids that need no quotes, and about half
+    only good rows.  Some lose their final newline, have one line end in
+    a lone CR or, in a CRLF file, in a bare LF, or hold a short row next
+    to a long one, so that the comma count of the two balances.
+    """
     eol = draw(st.sampled_from(["\n", "\r\n"]))
+    ids = draw(st.sampled_from([PLAIN_IDS, CSV_IDS]))
+    kinds = draw(st.sampled_from([["row"], ROW_KINDS]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=eol)
     writer.writerow(draw(st.sampled_from([["id", "parent", "weight"], [" ID", "Parent ", "weight", "x"],
                                           ["id", "parent"]])))
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["row", "row", "row", "row", "short", "long", "blank"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
-            out.write(draw(st.sampled_from(["", "   ", "\t", " , ", ","])) + eol)
+            out.write(draw(st.sampled_from(["", "   ", "\t", "\t\t", " , ", ","])) + eol)
             continue
-        row = [draw(st.sampled_from(CSV_IDS)), draw(st.sampled_from(["", "zz", *CSV_IDS])),
+        row = [draw(st.sampled_from(ids)), draw(st.sampled_from(["", "zz", *ids])),
                draw(st.sampled_from(CSV_WEIGHTS)) if draw(st.booleans()) else "1"]
         if kind == "short":
             row = row[: draw(st.integers(1, 2))]
         elif kind == "long":
             row += draw(st.lists(st.sampled_from(["x", "", "2"]), min_size=1, max_size=2))
+        elif kind == "pair":
+            writer.writerow(row[:2])
+            row.append("x")
         writer.writerow(row)
-    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+    lines = out.getvalue().replace("@", "\x00").split(eol)  # the last is empty
+    at = draw(st.integers(0, len(lines) - 2))
+    end = draw(st.sampled_from([eol, eol, "\r", "\n"]))
+    text = eol.join(lines[: at + 1]) + end + eol.join(lines[at + 1 :])
+    if draw(st.booleans()):
+        text = text.removesuffix(eol)
+    return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
 @settings(max_examples=300)
@@ -435,8 +508,9 @@ def test_csv_faults_in_row_order(tmp_path, rows, message):
     "text, line",
     [("id,parent,weight\nr,,1\n" + "a" * 200_000 + ",r,2\n", 3),
      ("id,parent,weight\nr,,1\na,r,2\nb,a," + "1" * 200_000 + "\n", 4),
-     ("id,parent," + "w" * 200_000 + "\nr,,1\n", 1)],
-    ids=["long-id", "long-weight", "long-header"],
+     ("id,parent," + "w" * 200_000 + "\nr,,1\n", 1),
+     ("id,parent,weight\nr,,1\n" + "a" * (csv.field_size_limit() + 1) + ",r,2\n", 3)],
+    ids=["long-id", "long-weight", "long-header", "id-one-over"],
 )
 def test_csv_overlong_field_is_tree_error(tmp_path, text, line):
     p = tmp_path / "t.csv"
@@ -465,3 +539,34 @@ def test_csv_columns_equal_records_on_overflow_star(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(csv_text(OVERFLOW_STAR), encoding="utf-8")
     assert _read_outcome(read_csv, p) == _read_outcome(lambda _: build_tree(OVERFLOW_STAR), p)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+def test_plain_csv_is_split_without_csv_reader(tmp_path, monkeypatch):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"\xef\xbb\xbfid,parent,weight\r\nr,,1\r\na,r,2.5\nb,a,0")
+    want = _read_outcome(reference_read_csv, plain)
+    assert want[0] == ("r", "a", "b")
+    monkeypatch.setattr(csv, "reader", _no_csv_reader)
+    assert _read_outcome(read_csv, plain) == want
+    # A quote, a NUL (which Python 3.10's csv rejects), a lone CR, a blank
+    # line and a short row each send the file to csv.reader.
+    for rows in ['"a",r,2', "a\x00,r,2", "a\rb,r,2", "a,r,2\n\nb,r,3", "a,r,2\nb,r"]:
+        other = tmp_path / "other.csv"
+        other.write_text(f"id,parent,weight\nr,,1\n{rows}\n", encoding="utf-8", newline="")
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            read_csv(other)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_csv_field_at_the_limit_is_split(tmp_path, monkeypatch, eol):
+    p = tmp_path / "t.csv"
+    big = "a" * csv.field_size_limit()
+    p.write_text(eol.join(["id,parent,weight", "r,,1", f"{big},r,2"]), encoding="utf-8", newline="")
+    want = _read_outcome(reference_read_csv, p)
+    assert want[0] == ("r", big)
+    monkeypatch.setattr(csv, "reader", _no_csv_reader)
+    assert _read_outcome(read_csv, p) == want

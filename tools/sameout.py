@@ -19,8 +19,9 @@ at an epsilon that pads; a path, a broom, a caterpillar and a star under
 each algorithm; a 3000-node zero-weight chain under approx;
 ``tests/golden/``; malformed JSON inputs; and CSV inputs with row faults,
 blank lines, extra fields, a BOM with CRLF and quoted ids, no rows, no
-header, a star whose size fold overflows and an id longer than the csv
-module's field limit.
+header, two stars whose size folds overflow, an id longer than the csv
+module's field limit and one exactly as long, a NUL, a lone CR, mixed
+line ends, no final newline, and a short row beside a long one.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -66,9 +67,12 @@ BAD_JSON = {
     "missing": '{"id": "r", "children": []}',
 }
 # Row faults and layouts read_csv handles; a bad weight in an earlier row is
-# reported before a later short row.  The star's pairwise weight sum is
-# finite, but its size fold overflows.  The long id exceeds
-# csv.field_size_limit().
+# reported before a later short row.  The stars' pairwise weight sums are
+# finite, but their size folds overflow; the wide one is folded with numpy.
+# The long id exceeds csv.field_size_limit(), and the other id is exactly as
+# long as it.  A NUL is read on Python 3.11 and later but is a csv error on
+# 3.10.  The balanced file's short and long rows hold six commas, as two good
+# rows do.
 BAD_CSV = {
     "short-after-bad": "id,parent,weight\nr,,1\na,r,x\nb\n",
     "short-before-bad": "id,parent,weight\nr,,1\nb\na,r,x\n",
@@ -81,6 +85,14 @@ BAD_CSV = {
     "overflow-star": "id,parent,weight\nr,,0.0\nl1,r,1.3828408729710143e+307\n"
     + "".join(f"l{i},r,1.3828408729710123e+307\n" for i in range(2, 14)),
     "long-id": "id,parent,weight\nr,,1\n" + "a" * 200_000 + ",r,2\n",
+    "id-at-limit": "id,parent,weight\nr,,1\n" + "a" * csv.field_size_limit() + ",r,2\n",
+    "wide-overflow-star": "id,parent,weight\nr,,0.0\n"
+    + "".join(f"l{i},r,1.7976931348623125e+306\n" for i in range(100)),
+    "nul": "id,parent,weight\nr,,1\na\x00b,r,2\n",
+    "lone-cr": "id,parent,weight\nr,,1\ra,r,2\n",
+    "mixed-eol": "id,parent,weight\r\nr,,1\na,r,2\r\nb,a,3\n",
+    "no-final-newline": "id,parent,weight\nr,,1\na,r,2",
+    "balanced-commas": "id,parent,weight\nr,,1\na,r\nb,r,2,x\n",
 }
 
 
