@@ -81,22 +81,25 @@ def emit_dot(s: SummaryTree, ct: CanonicalTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -> None:
+def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, rounded, w0) -> None:
     """Write the result as ``json.dump(doc, fh, indent=1)`` writes ``doc``, plus a newline.
 
     ``doc`` holds the id map, ``W``, ``K``, ``algorithm`` and one
-    ``results`` entry per tree; an ``approx`` result adds each entry's
+    ``results`` entry per tree; an approx result, whose ``rounded``
+    entropies and ``w0`` are not None, adds each entry's
     ``entropy_bits_rounded`` and, last, ``epsilon``, ``w0`` and
     ``w0_constant``.  Every piece is formatted as the plain encoder
     formats it: strings by its C string encoder, and numbers, all finite,
     by ``float.__repr__`` and ``int.__repr__`` (``repr`` of a numpy float
     is not its JSON form).  Member lists are never empty.  The trees of
     different k share the member tuple of a node they have in common, so
-    each distinct tuple is encoded once.
+    each distinct tuple is encoded once, and its encoding is dropped
+    after the last k that holds it.
     """
     enc = encode_basestring_ascii
     num = float.__repr__
     blocks: dict = {}  # id() of a member tuple, alive through the write -> its encoded lines
+    last = {id(nd.members): k for k, tree in enumerate(trees, start=1) for nd in tree.nodes}
     pairs = ",\n  ".join(map("{}: {}".format, map(enc, ct.ext_of_label[1:]), range(1, ct.n + 1)))
     fh.write(f'{{\n "input_id_map": {{\n  {pairs}\n }},\n "W": {num(ct.W)},\n')
     fh.write(f' "K": {int.__repr__(args.K)},\n "algorithm": {enc(args.algorithm)},\n "results": [')
@@ -113,12 +116,14 @@ def _write_json(fh: TextIO, ct: CanonicalTree, args, trees, entropies, approx) -
             fh.write(f'     "kind": {enc(nd.kind)},\n     "members": [\n      {members}\n     ],\n')
             fh.write(f'     "weight": {num(nd.weight)},\n     "parent": {parent}\n    }}')
         fh.write("\n   ]")
-        if approx is not None:
-            fh.write(f',\n   "entropy_bits_rounded": {num(approx.entropy_bits_rounded[k - 1])}')
+        if rounded is not None:
+            fh.write(f',\n   "entropy_bits_rounded": {num(rounded[k - 1])}')
         fh.write("\n  }")
+        for key in [key for key in blocks if last[key] == k]:
+            del blocks[key]
     fh.write("\n ]")
-    if approx is not None:
-        fh.write(f',\n "epsilon": {num(args.epsilon)},\n "w0": {int.__repr__(approx.W0)},\n')
+    if rounded is not None:
+        fh.write(f',\n "epsilon": {num(args.epsilon)},\n "w0": {int.__repr__(w0)},\n')
         fh.write(f' "w0_constant": {num(W0_CONSTANT)}')
     fh.write("\n}\n")
 
@@ -187,23 +192,28 @@ def _run_solve(argv: Sequence[str]) -> int:
     # input's ids tuple, parents and weights take 24 MB.
     ct = canonicalize(read_csv(args.input) if fmt == "csv" else read_json(args.input))
     solve_start = time.perf_counter()
-    approx = None
+    # Only what the outputs read is kept: not the DP tables, nor approx's
+    # reduced tree, its tables and the rescaled tree.
+    rounded = w0 = None
     if args.algorithm == "approx":
         approx = solve_approx(ct, args.K, args.epsilon)
         trees, entropies, pair_cost = approx.trees, approx.entropy_bits, approx.pair_cost
+        rounded, w0 = approx.entropy_bits_rounded, approx.W0
+        del approx
     else:
         solver = solve_exact if args.algorithm == "exact" else solve_greedy
         tables = solver(ct, args.K)
         trees = [tables.reconstruct(k) for k in range(1, tables.max_k + 1)]
         entropies = tables.all_entropy_bits()
         pair_cost = tables.pair_cost
+        del tables
     wall = time.perf_counter() - solve_start
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _write_json(fh, ct, args, trees, entropies, approx)
+            _write_json(fh, ct, args, trees, entropies, rounded, w0)
     elif not args.stats:
-        _write_json(sys.stdout, ct, args, trees, entropies, approx)
+        _write_json(sys.stdout, ct, args, trees, entropies, rounded, w0)
     if args.dot:
         for k, tree_k in enumerate(trees, start=1):
             with open(f"{args.dot}.{k}.dot", "w", encoding="utf-8") as fh:

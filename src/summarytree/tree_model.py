@@ -12,17 +12,26 @@ representation in which
   precomputed.
 
 Every input tree is checked by one builder: :func:`build_tree` (which
-:func:`read_json` calls) and :func:`read_csv` pass columns of ids,
-parent ids and weights through :func:`_parent_index` and
-:func:`_checked`; :func:`from_arrays` passes parent indices to the latter.
-:func:`read_csv` splits a plain file into its columns without the
-``csv`` module: after any BOM it is UTF-8 with no ``"``, no NUL and no
-``\r`` outside ``\r\n``, its header passes the header check, every later
-line holds exactly two commas and no field is longer than
-``csv.field_size_limit()``.  ``csv.reader`` would cut such a file at
-the same commas and line ends.  Any other file is read row by row by
-``csv.reader``.  (Python 3.10's ``csv`` rejects a NUL, 3.11 reads it, so
-a NUL always takes the row path.)
+:func:`read_json` calls) and :func:`read_csv` resolve parent ids to
+rows through :class:`_Parents` and pass columns of ids, parent rows and
+weights to :func:`_checked`; :func:`from_arrays` passes its parent
+indices to the latter.  :func:`read_csv` splits a plain file into its
+columns without the ``csv`` module: after any BOM it is UTF-8 with no
+``"``, no NUL and no ``\r`` outside ``\r\n``, its header passes the
+header check, every later line holds exactly two commas and no field is
+longer than ``csv.field_size_limit()``.  ``csv.reader`` would cut such a
+file at the same commas and line ends.  Any other file is read row by
+row by ``csv.reader``.  (Python 3.10's ``csv`` rejects a NUL, 3.11 reads
+it, so a NUL always takes the row path.)
+
+A plain file is split :data:`_BLOCK_ROWS` rows at a time.  Each block's
+weights are parsed, its ids entered in the id -> row dict and its parent
+ids mapped to rows before the next block is split, so the load never
+holds a column of parent id strings: only a parent id that names no id
+yet keeps its string, until the last block is in.  While it reads, the
+load holds the file's bytes, the ids, the id dict and one block's
+strings; once the dict is dropped, the :class:`InputTree` holds the id
+strings, the ids tuple and two n-sized arrays.
 
 Every canonical tree comes from one builder, :func:`_canonical`:
 :func:`canonicalize` calls it with the external ids' order as the tie
@@ -48,7 +57,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,9 +83,12 @@ _NOT_NUMBERS = (bool, np.bool_, str, bytes, np.complexfloating)
 # the work.  Levels of 1 parent fold equally fast either way near 40 children.
 _NARROW = 40
 
-# Rows a plain CSV is split into columns at a time; each block's weight
-# strings are parsed and freed before the next block is split.
-_BLOCK_ROWS = 1 << 16
+# Rows a plain CSV is split into columns at a time; each block's weights are
+# parsed and its parent ids resolved before the next block is split.
+_BLOCK_ROWS = 1 << 12
+
+# The parent row of a parent id that names no id of its own or an earlier block.
+_PENDING = -2
 
 
 class TreeError(ValueError):
@@ -120,10 +131,17 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     if not recs:
         raise TreeError("no records")
     ids, parent_ids, weights = zip(*recs)
-    parent_idx = _parent_index(ids, parent_ids)
+    _check_ids(ids)
+    _no_repeats(ids, len(set(ids)))
+    if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
+        i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
+        raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
+    rows = _Parents()
+    rows.add(ids, parent_ids)
+    ids, parent_idx, pending = rows.columns()
     w = _floats(weights, lambda i: f"weight {weights[i]!r} for id {ids[i]!r} is not a float",
                 _float if _has_non_numbers(weights) else float)
-    return _checked(ids, parent_idx, w, parent_ids)
+    return _checked(ids, parent_idx, w, pending)
 
 
 def from_arrays(
@@ -169,7 +187,8 @@ def from_arrays(
     if parent_idx.ndim != 1 or weights.shape != (n,) or len(ids) != n:
         raise TreeError("parents, weights and ids must be flat and of one length")
     if given:
-        _index(ids)
+        _check_ids(ids)
+        _no_repeats(ids, len(set(ids)))
     return _checked(ids, parent_idx, weights)
 
 
@@ -194,41 +213,80 @@ def _floats(values: Sequence, message, convert=float) -> np.ndarray:
         raise TreeError(message(len(values) - 1 - sum(1 for _ in rest))) from None
 
 
-def _index(ids: tuple) -> dict:
-    """Map each id to its position; raises on the first id that is not a string or repeats."""
+def _check_ids(ids: Sequence) -> None:
+    """Raise on the first id that is not a string."""
     if not all(issubclass(t, str) for t in set(map(type, ids))):
         node_id = next(x for x in ids if not isinstance(x, str))
         raise TreeError(f"id {node_id!r} is not a string")
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) < len(ids):
+
+
+def _no_repeats(ids: Sequence, distinct: int) -> None:
+    """Raise on the first id that repeats, given how many of ``ids`` are distinct."""
+    if distinct < len(ids):
         seen: set = set()
         for node_id in ids:
             if node_id in seen:
                 raise TreeError(f"duplicate id {node_id!r}")
             seen.add(node_id)
-    return index
 
 
-def _parent_index(ids: tuple, parent_ids: Sequence) -> np.ndarray:
-    """Check the ids and parent ids; map a root's (None or "") to -1 and an unknown one to n."""
-    index = _index(ids)
-    if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
-        i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
-        raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
-    index[None] = index[""] = -1
-    return np.fromiter(map(index.get, parent_ids, repeat(len(ids))), np.int64, len(ids))
+class _Parents:
+    """String ids, and their parent ids resolved to rows, taken a block of rows at a time.
+
+    :meth:`add` enters a block's ids in an id -> row dict and then maps
+    the block's parent ids through it, so a block's parent id strings
+    are dropped with the block.  None and "" map to -1, the root, even
+    where "" is also an id.  A parent id that names no id yet keeps its
+    string in ``pending`` (row -> parent id) until :meth:`columns`
+    resolves it, once every block is in.
+    """
+
+    def __init__(self) -> None:
+        self.ids: list = []
+        self.index: dict = {}
+        self.blocks: list = []  # each block's parent rows, _PENDING where not yet known
+        self.pending: dict = {}
+
+    def add(self, ids: Sequence[str], parent_ids: Sequence) -> None:
+        lo = len(self.ids)
+        self.ids += ids
+        index = self.index
+        index.update(zip(ids, range(lo, len(self.ids))))
+        own = index.pop("", None)  # the row of an id ""
+        index[None] = index[""] = -1
+        rows = np.fromiter(map(index.get, parent_ids, repeat(_PENDING)), np.int64, len(ids))
+        del index[None], index[""]
+        if own is not None:
+            index[""] = own
+        miss = np.flatnonzero(rows == _PENDING).tolist()
+        self.pending.update(zip(map(lo.__add__, miss), map(parent_ids.__getitem__, miss)))
+        self.blocks.append(rows)
+
+    def columns(self) -> tuple[tuple, np.ndarray, dict]:
+        """The ids, their parent rows and ``pending``; raises on the first repeated id.
+
+        A parent id that names no id maps to ``len(ids)``.
+        """
+        ids = tuple(self.ids)
+        _no_repeats(ids, len(self.index))
+        parent = np.concatenate(self.blocks) if self.blocks else np.empty(0, np.int64)
+        if self.pending:
+            named = map(self.index.get, self.pending.values(), repeat(len(ids)))
+            parent[list(self.pending)] = np.fromiter(named, np.int64, len(self.pending))
+        return ids, parent, self.pending
 
 
 def _checked(
     ids: tuple,
     parent_idx: np.ndarray,
     weights: np.ndarray,
-    parent_ids: Optional[Sequence] = None,
+    parent_ids: Optional[dict] = None,
 ) -> InputTree:
     """Validate a tree with unique ids, given as arrays.
 
     ``parent_idx`` is -1 at a root; any other value outside ``0..n-1`` is
-    an unknown parent, reported through ``parent_ids`` when given.  Of the
+    an unknown parent, reported through ``parent_ids`` (row -> parent id,
+    for at least every row whose parent id names no id) when given.  Of the
     per-node faults, the one at the smallest index is reported.
     """
     n = len(ids)
@@ -387,45 +445,73 @@ def _canonical(
         raise TreeError("total weight overflows a float64")
 
     # Children grouped by parent in (size, tie) order; the root sorts first.
-    position = np.empty(n, dtype=np.int64)
-    position[by_tie[np.argsort(size[by_tie], kind="stable")]] = np.arange(n)
-    kids = np.argsort(parent * n + position)[1:]
+    # Each n-sized temporary is freed once it has been read.
+    key = np.empty(n, dtype=np.int64)
+    key[by_tie[np.argsort(size[by_tie], kind="stable")]] = np.arange(n)  # the position
+    key += parent * n
+    kids = np.argsort(key)[1:]
+    del key
     kid_count = count[kids]
-    before = np.cumsum(kid_count) - kid_count
+    before = np.cumsum(kid_count)
+    before -= kid_count
+    del kid_count
+    kid_parent = parent[kids]
     first = np.ones(n - 1, dtype=bool)
-    first[1:] = parent[kids[1:]] != parent[kids[:-1]]
+    first[1:] = kid_parent[1:] != kid_parent[:-1]
+    del kid_parent
     # A child's preorder offset below its parent: 1 plus the counts of
     # its earlier siblings.
+    start = np.where(first, before, 0)
+    del first
+    before -= np.maximum.accumulate(start, out=start)
+    before += 1
+    del start
     offset = np.zeros(n, dtype=np.int64)
-    offset[kids] = before - np.maximum.accumulate(np.where(first, before, 0)) + 1
+    offset[kids] = before
+    del kids, before
     pre_pos, _ = _path_sums(parent, root, offset)
+    del offset
 
     # Breadth-first labels: within one depth, BFS order is preorder.
-    order = np.argsort(depth * n + pre_pos)
+    key = depth * n
+    key += pre_pos
+    order = np.argsort(key)
+    del key
     label = np.empty(n, dtype=np.int64)
     label[order] = np.arange(1, n + 1)
 
+    # Each per-node array is relabelled in turn, and the original freed.
+    size = _by_label(size, order)
+    count = _by_label(count, order)
+    depth = _by_label(depth, order)
     degree = _by_label(degree, order)
+    pre_pos = _by_label(pre_pos, order)
     parent_l = np.zeros(n + 1, dtype=np.int64)
     parent_l[2:] = label[parent[order[1:]]]
     first_child = np.zeros(n + 1, dtype=np.int64)
-    starts = 2 + np.concatenate(([0], np.cumsum(degree[1:-1])))
-    first_child[1:] = np.where(degree[1:] > 0, starts, 0)
-    pre_pos_l = _by_label(pre_pos, order)
+    np.cumsum(degree[1:-1], out=first_child[2:])
+    first_child[1:] += 2
+    first_child[degree == 0] = 0
     preorder = np.empty(n, dtype=np.int64)
-    preorder[pre_pos_l[1:]] = np.arange(1, n + 1)
+    preorder[pre_pos[1:]] = np.arange(1, n + 1)
+    # A gather of object pointers: no Python int per node, as order.tolist() would make.
+    ext = np.empty(n, dtype=object)
+    ext[:] = ids
+    ext_of_label = np.empty(n + 1, dtype=object)  # entry 0 stays None
+    np.take(ext, order, out=ext_of_label[1:])
+    del ext
 
     tree = CanonicalTree(
         _by_label(weight, order),
-        _by_label(size, order),
-        _by_label(count, order),
+        size,
+        count,
         degree,
         parent_l,
         first_child,
-        _by_label(depth, order),
+        depth,
         preorder,
-        pre_pos_l,
-        [None, *(itemgetter(*order.tolist())(ids) if n > 1 else (ids[root],))],
+        pre_pos,
+        ext_of_label.tolist(),
     )
     return tree, label
 
@@ -532,16 +618,20 @@ def read_csv(path) -> InputTree:
 
     A plain file is split into columns by :func:`_plain_columns`; any other
     is read row by row by :func:`_csv_rows`.  Both parse the weights with
-    ``float()``, and the columns are checked by :func:`build_tree`'s
-    builder.  Blank lines and fields after the third are skipped.  Of a
-    short row, a field longer than ``csv.field_size_limit()`` and a weight
-    that ``float()`` rejects, the one in the earliest row is reported.
+    ``float()`` and resolve the parent ids through :class:`_Parents`, and
+    the columns are checked by :func:`build_tree`'s builder.  Blank lines
+    and fields after the third are skipped.  Of a short row, a field
+    longer than ``csv.field_size_limit()`` and a weight that ``float()``
+    rejects, the one in the earliest row is reported; then a repeated id,
+    then the builder's faults.  A byte that is not UTF-8 is reported with
+    its line and file offset.
     """
     with open(path, "rb") as fh:
         columns = _plain_columns(fh.read())
-    ids, parent_ids, w = _csv_rows(path) if columns is None else columns
-    ids = tuple(ids)
-    return _checked(ids, _parent_index(ids, parent_ids), w, parent_ids)
+    rows, w = _csv_rows(path) if columns is None else columns
+    ids, parent_idx, pending = rows.columns()
+    del rows, columns  # the id dict is not needed past here
+    return _checked(ids, parent_idx, w, pending)
 
 
 def _is_header(row: list) -> bool:
@@ -552,28 +642,28 @@ def _bad_row(row: list) -> str:
     return f"bad weight in CSV row {row!r}"
 
 
-def _plain_columns(data: bytes) -> Optional[tuple[list, list, np.ndarray]]:
-    """The id, parent id and weight columns of a plain CSV file, or None for any other.
+def _plain_columns(data: bytes) -> Optional[tuple[_Parents, np.ndarray]]:
+    """The ids and parents, and the weights, of a plain CSV file, or None for any other.
 
     ``data`` is the file's bytes; the module docstring says which files
     are plain.  The columns are the ones :func:`_csv_rows` would read.
-    The rows are split, and their weights parsed, a block at a time.
+    The rows are split, their weights parsed and their parent ids
+    resolved a block at a time.
     """
     if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8) :]
     ends = _plain_line_ends(data)
     if ends is None:
         return None
-    ids, parent_ids = [], []
+    rows = _Parents()
     w = np.empty(ends.shape[0] - 1)
     for lo in range(0, w.shape[0], _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, w.shape[0])
         text = data[ends[lo] + 1 : ends[hi]].decode().replace("\r", "")
         fields = text.replace("\n", ",").split(",")
-        ids += fields[0::3]
-        parent_ids += fields[1::3]
         w[lo:hi] = _floats(fields[2::3], lambda i: _bad_row(fields[3 * i : 3 * i + 3]))
-    return ids, parent_ids, w
+        rows.add(fields[0::3], fields[1::3])
+    return rows, w
 
 
 def _plain_line_ends(data: bytes) -> Optional[np.ndarray]:
@@ -611,8 +701,8 @@ def _plain_line_ends(data: bytes) -> Optional[np.ndarray]:
     return ends.copy() if data.endswith(b"\n") else np.append(ends, len(data))
 
 
-def _csv_rows(path) -> tuple[list, list, np.ndarray]:
-    """The id, parent id and weight columns of any CSV file, read row by row by ``csv.reader``."""
+def _csv_rows(path) -> tuple[_Parents, np.ndarray]:
+    """The ids and parents, and the weights, of any CSV file, read row by row by ``csv.reader``."""
     ids, parent_ids, fields = [], [], []
     long_rows = {}  # index -> a row of more than 3 fields, kept for its message
 
@@ -639,8 +729,31 @@ def _csv_rows(path) -> tuple[list, list, np.ndarray]:
             _floats(fields, bad)  # a bad weight in an earlier row is reported first
             if isinstance(exc, csv.Error):  # a field over the limit, or a NUL before Python 3.11
                 raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
+            if isinstance(exc, UnicodeDecodeError):  # its position is inside one decoded chunk
+                raise _undecodable(path, exc) from None
             raise
-    return ids, parent_ids, _floats(fields, bad)
+    w = _floats(fields, bad)
+    rows = _Parents()
+    rows.add(ids, parent_ids)
+    return rows, w
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> TreeError:
+    """The error for a file that is not UTF-8: the line and file offset of its first bad byte.
+
+    ``exc`` is the reader's error, whose position is inside one decoded
+    chunk; it is reported as it is if the file now decodes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as first:
+        at = len(data) - len(first.object) + first.start  # the object lacks any BOM
+        line = data.count(b"\n", 0, at) + 1
+        return TreeError(f"CSV line {line}: 'utf-8' codec can't decode byte {data[at]:#04x} "
+                         f"at file offset {at}: {first.reason}")
+    return TreeError(str(exc))
 
 
 def read_json(path) -> InputTree:

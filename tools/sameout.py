@@ -21,7 +21,9 @@ each algorithm; a 3000-node zero-weight chain under approx;
 blank lines, extra fields, a BOM with CRLF and quoted ids, no rows, no
 header, two stars whose size folds overflow, an id longer than the csv
 module's field limit and one exactly as long, a NUL, a lone CR, mixed
-line ends, no final newline, and a short row beside a long one.
+line ends, no final newline, a short row beside a long one, an empty id
+beside a second root, and a tree of several blocks of rows written last
+node first, both whole and with one unknown parent.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -49,7 +51,7 @@ from summarytree import from_arrays  # noqa: E402
 from workloads import WORKLOADS, workload_arrays, write_csv  # noqa: E402
 
 SEEDS = (1, 2, 3)
-JOBS = 2  # CLI runs at once; each peaks near 70 MB on the benchmark inputs
+JOBS = 2  # CLI runs at once; each peaks at 36-54 MB on the benchmark inputs
 GOLDEN_K = {"odd_ids": 8, "ties": 8, "zero_chain": 17}
 SHAPES = ("path", "broom", "caterpillar", "star")
 # Characters that JSON, CSV or DOT escape or that sort unlike their digits.
@@ -72,7 +74,9 @@ BAD_JSON = {
 # The long id exceeds csv.field_size_limit(), and the other id is exactly as
 # long as it.  A NUL is read on Python 3.11 and later but is a csv error on
 # 3.10.  The balanced file's short and long rows hold six commas, as two good
-# rows do.
+# rows do.  An empty parent field names the root even beside an empty id.  The
+# binary trees are written last node first, so most rows name a parent whose
+# own row is blocks of rows later.
 BAD_CSV = {
     "short-after-bad": "id,parent,weight\nr,,1\na,r,x\nb\n",
     "short-before-bad": "id,parent,weight\nr,,1\nb\na,r,x\n",
@@ -93,6 +97,11 @@ BAD_CSV = {
     "mixed-eol": "id,parent,weight\r\nr,,1\na,r,2\r\nb,a,3\n",
     "no-final-newline": "id,parent,weight\nr,,1\na,r,2",
     "balanced-commas": "id,parent,weight\nr,,1\na,r\nb,r,2,x\n",
+    "empty-id": "id,parent,weight\n,,1\na,,2\n",
+    "forward-parent": "id,parent,weight\n"
+    + "".join(f"n{i},n{i // 2},{i % 3}\n" for i in range(10_000, 0, -1)) + "n0,,1\n",
+    "forward-unknown": "id,parent,weight\n"
+    + "".join(f"n{i},{'zz' if i == 17 else f'n{i // 2}'},1\n" for i in range(10_000, 0, -1)) + "n0,,1\n",
 }
 
 
