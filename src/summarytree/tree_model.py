@@ -27,11 +27,14 @@ it, so a NUL always takes the row path.)
 A plain file is split :data:`_BLOCK_ROWS` rows at a time.  Each block's
 weights are parsed, its ids entered in the id -> row dict and its parent
 ids mapped to rows before the next block is split, so the load never
-holds a column of parent id strings: only a parent id that names no id
-yet keeps its string, until the last block is in.  While it reads, the
-load holds the file's bytes, the ids, the id dict and one block's
-strings; once the dict is dropped, the :class:`InputTree` holds the id
-strings, the ids tuple and two n-sized arrays.
+holds a column of parent id strings where each parent's row comes
+before its children's or in the same block: only a parent id that names
+no id yet keeps its string, with its row, until the last block is in.
+While it reads, the load holds the file's bytes, the ids, the id dict,
+one block's strings and those waiting parent ids; once the dict is
+dropped, the :class:`InputTree` holds the id strings, the ids tuple and
+two n-sized arrays.  A file written children first keeps nearly every
+parent id, as a column would, and 16 bytes a row beside it.
 
 Every canonical tree comes from one builder, :func:`_canonical`:
 :func:`canonicalize` calls it with the external ids' order as the tie
@@ -237,15 +240,17 @@ class _Parents:
     the block's parent ids through it, so a block's parent id strings
     are dropped with the block.  None and "" map to -1, the root, even
     where "" is also an id.  A parent id that names no id yet keeps its
-    string in ``pending`` (row -> parent id) until :meth:`columns`
-    resolves it, once every block is in.
+    string, beside its row in an int64 array, until :meth:`columns`
+    resolves it once every block is in: 16 bytes a row above the string,
+    even in a file whose every parent's row comes after its children's.
     """
 
     def __init__(self) -> None:
         self.ids: list = []
         self.index: dict = {}
         self.blocks: list = []  # each block's parent rows, _PENDING where not yet known
-        self.pending: dict = {}
+        self.pending_rows: list = []  # each block's rows at _PENDING
+        self.pending_ids: list = []  # their parent ids, in row order
 
     def add(self, ids: Sequence[str], parent_ids: Sequence) -> None:
         lo = len(self.ids)
@@ -258,36 +263,41 @@ class _Parents:
         del index[None], index[""]
         if own is not None:
             index[""] = own
-        miss = np.flatnonzero(rows == _PENDING).tolist()
-        self.pending.update(zip(map(lo.__add__, miss), map(parent_ids.__getitem__, miss)))
+        miss = np.flatnonzero(rows == _PENDING)
+        if miss.shape[0]:
+            self.pending_rows.append(miss + lo)
+            self.pending_ids += map(parent_ids.__getitem__, miss.tolist())
         self.blocks.append(rows)
 
-    def columns(self) -> tuple[tuple, np.ndarray, dict]:
-        """The ids, their parent rows and ``pending``; raises on the first repeated id.
+    def columns(self) -> tuple[tuple, np.ndarray, tuple[np.ndarray, list]]:
+        """The ids, their parent rows and the pending rows and parent ids.
 
-        A parent id that names no id maps to ``len(ids)``.
+        Raises on the first repeated id.  A parent id that names no id maps
+        to ``len(ids)``.
         """
         ids = tuple(self.ids)
         _no_repeats(ids, len(self.index))
         parent = np.concatenate(self.blocks) if self.blocks else np.empty(0, np.int64)
-        if self.pending:
-            named = map(self.index.get, self.pending.values(), repeat(len(ids)))
-            parent[list(self.pending)] = np.fromiter(named, np.int64, len(self.pending))
-        return ids, parent, self.pending
+        rows = np.concatenate(self.pending_rows) if self.pending_rows else np.empty(0, np.int64)
+        if rows.shape[0]:
+            named = map(self.index.get, self.pending_ids, repeat(len(ids)))
+            parent[rows] = np.fromiter(named, np.int64, rows.shape[0])
+        return ids, parent, (rows, self.pending_ids)
 
 
 def _checked(
     ids: tuple,
     parent_idx: np.ndarray,
     weights: np.ndarray,
-    parent_ids: Optional[dict] = None,
+    pending: Optional[tuple[np.ndarray, list]] = None,
 ) -> InputTree:
     """Validate a tree with unique ids, given as arrays.
 
     ``parent_idx`` is -1 at a root; any other value outside ``0..n-1`` is
-    an unknown parent, reported through ``parent_ids`` (row -> parent id,
-    for at least every row whose parent id names no id) when given.  Of the
-    per-node faults, the one at the smallest index is reported.
+    an unknown parent, reported by its parent id from ``pending`` when
+    given: ascending rows, among them every row whose parent id names no
+    id, and those rows' parent ids.  Of the per-node faults, the one at
+    the smallest index is reported.
     """
     n = len(ids)
     if n == 0:
@@ -303,7 +313,10 @@ def _checked(
             raise TreeError(f"negative or non-finite weight for id {ids[i]!r}")
         if parent_idx[i] == -1:
             raise TreeError(f"multiple roots: {ids[roots[0]]!r} and {ids[i]!r}")
-        ref = int(parent_idx[i]) if parent_ids is None else parent_ids[i]
+        ref = int(parent_idx[i])
+        if pending is not None:
+            rows, parent_ids = pending
+            ref = parent_ids[int(np.searchsorted(rows, i))]
         raise TreeError(f"unknown parent {ref!r} for id {ids[i]!r}")
     if roots.shape[0] == 0:
         raise TreeError("no root (every node has a parent)")
@@ -750,7 +763,8 @@ def _undecodable(path, exc: UnicodeDecodeError) -> TreeError:
         data.decode("utf-8-sig")
     except UnicodeDecodeError as first:
         at = len(data) - len(first.object) + first.start  # the object lacks any BOM
-        line = data.count(b"\n", 0, at) + 1
+        # csv.reader's lines, as its line_num counts them: each ends at \n, \r\n or a lone \r.
+        line = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
         return TreeError(f"CSV line {line}: 'utf-8' codec can't decode byte {data[at]:#04x} "
                          f"at file offset {at}: {first.reason}")
     return TreeError(str(exc))

@@ -430,15 +430,19 @@ def reference_read_csv(path):
 
 
 def _first_undecodable(path) -> str:
-    """The message for the first byte of the file that is not UTF-8, found one line at a time."""
+    """The message for the first byte of the file that is not UTF-8, found one line at a time.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as ``csv.reader``
+    counts lines in a file opened with ``newline=""``.
+    """
     offset = 0
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
+        for number, line in enumerate(fh.read().splitlines(keepends=True), start=1):
             try:
                 line.decode()
             except UnicodeDecodeError as exc:
-                return (f"CSV line {number}: 'utf-8' codec can't decode byte {line[exc.start]:#04x} "
-                        f"at file offset {offset + exc.start}: {exc.reason}")
+                return (f"CSV line {number}: 'utf-8' codec can't decode byte "
+                        f"{line[exc.start]:#04x} at file offset {offset + exc.start}: {exc.reason}")
             offset += len(line)
     raise AssertionError("the file is UTF-8")
 
@@ -548,13 +552,17 @@ def test_csv_bad_weight_before_overlong_field(tmp_path):
     assert _read_outcome(read_csv, p) == "bad weight in CSV row ['a', 'r', 'x']"
 
 
+def _children_first(n):
+    """A random tree written last node first, and its parent rows: most parents' rows come later."""
+    up = [-1, *np.random.default_rng(7).integers(0, np.arange(1, n)).tolist()]
+    records = [(f"n{i}", f"n{up[i]}" if i else "", 1.0) for i in range(n)][::-1]
+    return records, [n - 1 - up[i] if i else -1 for i in range(n)][::-1]
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["three-rows", "tree-over-blocks"])
 def test_csv_children_before_their_parents(tmp_path, reverse):
-    if reverse:  # a random tree written last node first: most parents' rows are blocks later
-        n = 2 * _BLOCK_ROWS + 5
-        up = [-1, *np.random.default_rng(7).integers(0, np.arange(1, n)).tolist()]
-        records = [(f"n{i}", f"n{up[i]}" if i else "", 1.0) for i in range(n)][::-1]
-        parents = [n - 1 - up[i] if i else -1 for i in range(n)][::-1]
+    if reverse:
+        records, parents = _children_first(2 * _BLOCK_ROWS + 5)
     else:
         records = [("b", "a", 1.0), ("a", "r", 2.0), ("r", "", 3.0)]
         parents = [1, 2, -1]
@@ -565,29 +573,48 @@ def test_csv_children_before_their_parents(tmp_path, reverse):
     assert got[1] == parents
 
 
-@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
-def test_csv_undecodable_byte_names_its_line_and_offset(tmp_path, bom):
-    # The bad byte lies beyond the reader's first decoded chunk, where the
-    # codec's own position counts from the chunk's start.
+def test_csv_unknown_parent_after_forward_references(tmp_path):
+    # Thousands of rows in earlier blocks name a parent whose row comes
+    # later; the message names the unknown parent id of its own row.
+    records, _ = _children_first(2 * _BLOCK_ROWS + 5)
+    row = 2 * _BLOCK_ROWS + 2
+    records[row] = (records[row][0], "zz", 1.0)
     p = tmp_path / "t.csv"
-    rows = "".join(f"n{i},r,1\n" for i in range(4000))
-    data = bom + b"id,parent,weight\nr,,1\n" + rows.encode() + b"z,r,\xff\n"
+    p.write_text(csv_text(records), encoding="utf-8")
+    want = f"unknown parent 'zz' for id {records[row][0]!r}"
+    assert _read_outcome(read_csv, p) == want == _read_outcome(reference_read_csv, p)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("eol", ["\n", "\r"], ids=["lf", "lone-cr"])
+def test_csv_undecodable_byte_names_its_line_and_offset(tmp_path, bom, eol):
+    # The bad byte lies beyond the reader's first decoded chunk, where the
+    # codec's own position counts from the chunk's start.  A lone CR ends a
+    # line for csv.reader as LF does.
+    p = tmp_path / "t.csv"
+    rows = "".join(f"n{i},r,1{eol}" for i in range(4000))
+    data = bom + f"id,parent,weight{eol}r,,1{eol}".encode() + rows.encode() + b"z,r,\xff\n"
     p.write_bytes(data)
     want = (f"CSV line 4003: 'utf-8' codec can't decode byte 0xff at file offset {len(data) - 2}: "
             "invalid start byte")
     assert _read_outcome(read_csv, p) == want == _read_outcome(reference_read_csv, p)
 
 
-def test_read_csv_peak_memory_per_node(tmp_path):
+@pytest.mark.parametrize("reverse, bound", [(False, 200), (True, 225)],
+                         ids=["parents-first", "children-first"])
+def test_read_csv_peak_memory_per_node(tmp_path, reverse, bound):
     # The load holds one block's strings at a time beside the ids, the id
     # dict and the file's bytes: 162 B/node above the returned tree here,
     # against 236 when every parent id string was kept until the end.
+    # Written children first, nearly every parent id waits for its row and
+    # keeps its string, with 16 B for its row and list slot: 201 B/node.
     n = 20_000
     t = random_tree(n, seed=3)
     p = tmp_path / "t.csv"
     parent_ids = [t.ids[q] if q >= 0 else None for q in t.parent_idx.tolist()]
-    p.write_text(csv_text(zip(t.ids, parent_ids, t.weights.tolist())), encoding="utf-8")
-    del t, parent_ids
+    records = list(zip(t.ids, parent_ids, t.weights.tolist()))
+    p.write_text(csv_text(records[::-1] if reverse else records), encoding="utf-8")
+    del t, parent_ids, records
     gc.collect()
     tracemalloc.start()
     try:
@@ -596,7 +623,7 @@ def test_read_csv_peak_memory_per_node(tmp_path):
     finally:
         tracemalloc.stop()
     assert tree.n == n
-    assert (peak - kept) / n < 200
+    assert (peak - kept) / n < bound
 
 
 def test_csv_bad_weight_before_undecodable_bytes(tmp_path):
