@@ -88,7 +88,7 @@ class DPTables:
 
     ``pair_cost`` is the sum of min(prefix, K) * min(child, K) over
     prefix-class combining steps, where prefix is the descendant count
-    already covered; it is at most 2*K*n.
+    already covered; it is at most 2*K*n.  A K above n is taken as n.
 
     ``_replays`` keeps the final row, steps and ``base_pos`` of each
     (node, class) that reconstruction sweeps, for every later k: at most
@@ -106,6 +106,7 @@ class DPTables:
     ):
         if K < 1:
             raise ValueError("K must be >= 1")
+        K = min(K, tree.n)  # every table and sweep saturates at n; no array is K wide
         if mode not in ("exact", "greedy"):
             raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
         self.tree = tree

@@ -11,30 +11,30 @@ representation in which
 * per-node subtree sizes, descendant counts, and degrees are
   precomputed.
 
-Every input tree is checked by one builder: :func:`build_tree` (which
-:func:`read_json` calls) and :func:`read_csv` resolve parent ids to
-rows through :class:`_Parents` and pass columns of ids, parent rows and
-weights to :func:`_checked`; :func:`from_arrays` passes its parent
-indices to the latter.  :func:`read_csv` splits a plain file into its
-columns without the ``csv`` module: after any BOM it is UTF-8 with no
-``"``, no NUL and no ``\r`` outside ``\r\n``, its header passes the
-header check, every later line holds exactly two commas and no field is
-longer than ``csv.field_size_limit()``.  ``csv.reader`` would cut such a
-file at the same commas and line ends.  Any other file is read row by
-row by ``csv.reader``.  (Python 3.10's ``csv`` rejects a NUL, 3.11 reads
-it, so a NUL always takes the row path.)
+Every input tree is checked by one builder, :func:`_from_blocks`, which
+takes rows a block at a time and hands columns of ids, parent rows and
+weights to :func:`_checked`: :func:`build_tree` (which :func:`read_json`
+calls) passes its records as one block, and :func:`read_csv` passes
+blocks of :data:`_BLOCK_ROWS` rows from one of two splitters over the
+file's bytes, read once.  :func:`from_arrays` passes its parent indices
+to :func:`_checked`.  A plain file is split at its commas and newlines
+without the ``csv`` module: after any BOM it is UTF-8 with no ``"``, no
+NUL and no ``\r`` outside ``\r\n``, its header passes the header check,
+every later line holds exactly two commas and no field is longer than
+``csv.field_size_limit()``.  ``csv.reader`` would cut such a file at the
+same commas and line ends.  Any other file is read by ``csv.reader``.
+(Python 3.10's ``csv`` rejects a NUL, 3.11 reads it, so a NUL always
+takes the ``csv.reader`` path.)
 
-A plain file is split :data:`_BLOCK_ROWS` rows at a time.  Each block's
-weights are parsed, its ids entered in the id -> row dict and its parent
-ids mapped to rows before the next block is split, so the load never
-holds a column of parent id strings where each parent's row comes
-before its children's or in the same block: only a parent id that names
-no id yet keeps its string, with its row, until the last block is in.
-While it reads, the load holds the file's bytes, the ids, the id dict,
-one block's strings and those waiting parent ids; once the dict is
-dropped, the :class:`InputTree` holds the id strings, the ids tuple and
-two n-sized arrays.  A file written children first keeps nearly every
-parent id, as a column would, and 16 bytes a row beside it.
+Parent ids are resolved a block at a time, so a parent id string is
+kept past its block only while it names no id yet: where each parent's
+row comes before its children's or in the same block, no column of
+parent id strings is built.  While it reads, the load holds the file's
+bytes, the ids, the id dict, at most two blocks' strings and those
+waiting parent ids; past the load, the :class:`InputTree` holds the id
+strings, the ids tuple and two n-sized arrays.  A file written children
+first keeps nearly every parent id, as a column would, and 16 bytes a
+row beside it.
 
 Every canonical tree comes from one builder, :func:`_canonical`:
 :func:`canonicalize` calls it with the external ids' order as the tie
@@ -56,11 +56,12 @@ from __future__ import annotations
 import codecs
 import copy
 import csv
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,8 +87,8 @@ _NOT_NUMBERS = (bool, np.bool_, str, bytes, np.complexfloating)
 # the work.  Levels of 1 parent fold equally fast either way near 40 children.
 _NARROW = 40
 
-# Rows a plain CSV is split into columns at a time; each block's weights are
-# parsed and its parent ids resolved before the next block is split.
+# Rows a CSV is split into at a time; each block's weights are parsed and its
+# parent ids resolved before the next block is split.
 _BLOCK_ROWS = 1 << 12
 
 # The parent row of a parent id that names no id of its own or an earlier block.
@@ -139,12 +140,9 @@ def build_tree(records: Iterable[Record]) -> InputTree:
     if not all(issubclass(t, (str, type(None))) for t in set(map(type, parent_ids))):
         i = next(i for i, p in enumerate(parent_ids) if not isinstance(p, (str, type(None))))
         raise TreeError(f"parent id {parent_ids[i]!r} of id {ids[i]!r} is not a string")
-    rows = _Parents()
-    rows.add(ids, parent_ids)
-    ids, parent_idx, pending = rows.columns()
-    w = _floats(weights, lambda i: f"weight {weights[i]!r} for id {ids[i]!r} is not a float",
-                _float if _has_non_numbers(weights) else float)
-    return _checked(ids, parent_idx, w, pending)
+    return _from_blocks([(ids, parent_ids, weights,
+                          lambda i: f"weight {weights[i]!r} for id {ids[i]!r} is not a float",
+                          _float if _has_non_numbers(weights) else float)])
 
 
 def from_arrays(
@@ -233,71 +231,61 @@ def _no_repeats(ids: Sequence, distinct: int) -> None:
             seen.add(node_id)
 
 
-class _Parents:
-    """String ids, and their parent ids resolved to rows, taken a block of rows at a time.
+def _from_blocks(blocks: Iterable[tuple]) -> InputTree:
+    """Check rows, given a block at a time, into an :class:`InputTree`.
 
-    :meth:`add` enters a block's ids in an id -> row dict and then maps
-    the block's parent ids through it, so a block's parent id strings
-    are dropped with the block.  None and "" map to -1, the root, even
-    where "" is also an id.  A parent id that names no id yet keeps its
-    string, beside its row in an int64 array, until :meth:`columns`
-    resolves it once every block is in: 16 bytes a row above the string,
-    even in a file whose every parent's row comes after its children's.
+    A block is ``(ids, parent ids, weight fields, message, convert)``.  Its
+    weights are parsed by :func:`_floats` before the next block is taken,
+    so ``message`` may read the block by its own row numbers.  Then its
+    ids enter the id -> row dict and its parent ids are mapped through it;
+    None and "" map to -1, the root, even where "" is also an id.  A parent
+    id that names no id yet keeps its string, beside its row, until every
+    block is in.  Then a repeated id is reported, and then
+    :func:`_checked`'s faults.
     """
-
-    def __init__(self) -> None:
-        self.ids: list = []
-        self.index: dict = {}
-        self.blocks: list = []  # each block's parent rows, _PENDING where not yet known
-        self.pending_rows: list = []  # each block's rows at _PENDING
-        self.pending_ids: list = []  # their parent ids, in row order
-
-    def add(self, ids: Sequence[str], parent_ids: Sequence) -> None:
-        lo = len(self.ids)
-        self.ids += ids
-        index = self.index
-        index.update(zip(ids, range(lo, len(self.ids))))
+    ids, index = [], {}
+    parent, weights = [np.empty(0, np.int64)], [np.empty(0)]
+    waiting_rows, waiting_ids = [np.empty(0, np.int64)], []
+    for block_ids, parent_ids, fields, message, convert in blocks:
+        weights.append(_floats(fields, message, convert))
+        lo = len(ids)
+        ids += block_ids
+        index.update(zip(block_ids, range(lo, len(ids))))
         own = index.pop("", None)  # the row of an id ""
         index[None] = index[""] = -1
-        rows = np.fromiter(map(index.get, parent_ids, repeat(_PENDING)), np.int64, len(ids))
+        rows = np.fromiter(map(index.get, parent_ids, repeat(_PENDING)), np.int64, len(block_ids))
         del index[None], index[""]
         if own is not None:
             index[""] = own
         miss = np.flatnonzero(rows == _PENDING)
-        if miss.shape[0]:
-            self.pending_rows.append(miss + lo)
-            self.pending_ids += map(parent_ids.__getitem__, miss.tolist())
-        self.blocks.append(rows)
-
-    def columns(self) -> tuple[tuple, np.ndarray, tuple[np.ndarray, list]]:
-        """The ids, their parent rows and the pending rows and parent ids.
-
-        Raises on the first repeated id.  A parent id that names no id maps
-        to ``len(ids)``.
-        """
-        ids = tuple(self.ids)
-        _no_repeats(ids, len(self.index))
-        parent = np.concatenate(self.blocks) if self.blocks else np.empty(0, np.int64)
-        rows = np.concatenate(self.pending_rows) if self.pending_rows else np.empty(0, np.int64)
-        if rows.shape[0]:
-            named = map(self.index.get, self.pending_ids, repeat(len(ids)))
-            parent[rows] = np.fromiter(named, np.int64, rows.shape[0])
-        return ids, parent, (rows, self.pending_ids)
+        waiting_rows.append(miss + lo)
+        waiting_ids += map(parent_ids.__getitem__, miss.tolist())
+        parent.append(rows)
+    _no_repeats(ids, len(index))
+    parent = np.concatenate(parent)
+    rows = np.concatenate(waiting_rows)
+    named = np.fromiter(map(index.get, waiting_ids, repeat(len(ids))), np.int64, rows.shape[0])
+    parent[rows] = named
+    lost = np.flatnonzero(named == len(ids)).tolist()
+    unknown = dict(zip(rows[lost].tolist(), map(waiting_ids.__getitem__, lost)))
+    del index, waiting_ids, rows, named  # only the tree's columns are held past here
+    ids = tuple(ids)
+    weights = np.concatenate(weights)
+    return _checked(ids, parent, weights, unknown)
 
 
 def _checked(
     ids: tuple,
     parent_idx: np.ndarray,
     weights: np.ndarray,
-    pending: Optional[tuple[np.ndarray, list]] = None,
+    unknown: Optional[dict] = None,
 ) -> InputTree:
     """Validate a tree with unique ids, given as arrays.
 
     ``parent_idx`` is -1 at a root; any other value outside ``0..n-1`` is
-    an unknown parent, reported by its parent id from ``pending`` when
-    given: ascending rows, among them every row whose parent id names no
-    id, and those rows' parent ids.  Of the per-node faults, the one at
-    the smallest index is reported.
+    an unknown parent, reported by its parent id in ``unknown``, a dict
+    from row to parent id, where it holds the row.  Of the per-node
+    faults, the one at the smallest index is reported.
     """
     n = len(ids)
     if n == 0:
@@ -313,10 +301,7 @@ def _checked(
             raise TreeError(f"negative or non-finite weight for id {ids[i]!r}")
         if parent_idx[i] == -1:
             raise TreeError(f"multiple roots: {ids[roots[0]]!r} and {ids[i]!r}")
-        ref = int(parent_idx[i])
-        if pending is not None:
-            rows, parent_ids = pending
-            ref = parent_ids[int(np.searchsorted(rows, i))]
+        ref = (unknown or {}).get(i, int(parent_idx[i]))
         raise TreeError(f"unknown parent {ref!r} for id {ids[i]!r}")
     if roots.shape[0] == 0:
         raise TreeError("no root (every node has a parent)")
@@ -629,22 +614,22 @@ def canonicalize(t: InputTree) -> CanonicalTree:
 def read_csv(path) -> InputTree:
     """Parse the ``id,parent,weight`` CSV format (root row has empty parent).
 
-    A plain file is split into columns by :func:`_plain_columns`; any other
-    is read row by row by :func:`_csv_rows`.  Both parse the weights with
-    ``float()`` and resolve the parent ids through :class:`_Parents`, and
-    the columns are checked by :func:`build_tree`'s builder.  Blank lines
-    and fields after the third are skipped.  Of a short row, a field
-    longer than ``csv.field_size_limit()`` and a weight that ``float()``
-    rejects, the one in the earliest row is reported; then a repeated id,
-    then the builder's faults.  A byte that is not UTF-8 is reported with
-    its line and file offset.
+    The file is read once and split into blocks of rows by
+    :func:`_plain_blocks` if it is plain, else by :func:`_csv_blocks`;
+    :func:`_from_blocks` checks them as it checks :func:`build_tree`'s
+    records.  Blank lines and fields after the third are skipped.  Of a
+    short row, a field longer than ``csv.field_size_limit()`` and a weight
+    that ``float()`` rejects, the one in the earliest row is reported; then
+    a repeated id, then the builder's faults.  A byte that is not UTF-8 is
+    reported with its line and file offset.
     """
     with open(path, "rb") as fh:
-        columns = _plain_columns(fh.read())
-    rows, w = _csv_rows(path) if columns is None else columns
-    ids, parent_idx, pending = rows.columns()
-    del rows, columns  # the id dict is not needed past here
-    return _checked(ids, parent_idx, w, pending)
+        data = fh.read()
+    body = data.removeprefix(codecs.BOM_UTF8)
+    ends = _plain_line_ends(body)
+    blocks = _csv_blocks(data) if ends is None else _plain_blocks(body, ends)
+    del data, body  # the splitter drops the bytes once it has split them
+    return _from_blocks(blocks)
 
 
 def _is_header(row: list) -> bool:
@@ -655,28 +640,18 @@ def _bad_row(row: list) -> str:
     return f"bad weight in CSV row {row!r}"
 
 
-def _plain_columns(data: bytes) -> Optional[tuple[_Parents, np.ndarray]]:
-    """The ids and parents, and the weights, of a plain CSV file, or None for any other.
+def _plain_blocks(data: bytes, ends: np.ndarray) -> Iterator[tuple]:
+    """The blocks of a plain CSV file, ``data`` after any BOM with its line ``ends``.
 
-    ``data`` is the file's bytes; the module docstring says which files
-    are plain.  The columns are the ones :func:`_csv_rows` would read.
-    The rows are split, their weights parsed and their parent ids
-    resolved a block at a time.
+    The module docstring says which files are plain; their blocks are the
+    ones :func:`_csv_blocks` would give.
     """
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8) :]
-    ends = _plain_line_ends(data)
-    if ends is None:
-        return None
-    rows = _Parents()
-    w = np.empty(ends.shape[0] - 1)
-    for lo in range(0, w.shape[0], _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, w.shape[0])
-        text = data[ends[lo] + 1 : ends[hi]].decode().replace("\r", "")
+    n = ends.shape[0] - 1
+    for lo in range(0, n, _BLOCK_ROWS):
+        text = data[ends[lo] + 1 : ends[min(lo + _BLOCK_ROWS, n)]].decode().replace("\r", "")
         fields = text.replace("\n", ",").split(",")
-        w[lo:hi] = _floats(fields[2::3], lambda i: _bad_row(fields[3 * i : 3 * i + 3]))
-        rows.add(fields[0::3], fields[1::3])
-    return rows, w
+        yield (fields[0::3], fields[1::3], fields[2::3],
+               lambda i: _bad_row(fields[3 * i : 3 * i + 3]), float)
 
 
 def _plain_line_ends(data: bytes) -> Optional[np.ndarray]:
@@ -714,51 +689,54 @@ def _plain_line_ends(data: bytes) -> Optional[np.ndarray]:
     return ends.copy() if data.endswith(b"\n") else np.append(ends, len(data))
 
 
-def _csv_rows(path) -> tuple[_Parents, np.ndarray]:
-    """The ids and parents, and the weights, of any CSV file, read row by row by ``csv.reader``."""
-    ids, parent_ids, fields = [], [], []
-    long_rows = {}  # index -> a row of more than 3 fields, kept for its message
+def _csv_blocks(data: bytes) -> Iterator[tuple]:
+    """The blocks of any CSV file, ``data`` with any BOM, read by ``csv.reader``.
 
-    def bad(i: int) -> str:
+    On a short row, a ``csv.Error`` or a byte that is not UTF-8 the rows
+    read so far are yielded before the fault is raised, so that a bad
+    weight in an earlier row is reported first.  A row of more than three
+    fields is kept whole for its bad-weight message.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    ids, parent_ids, fields, long_rows = [], [], [], {}
+
+    def message(i: int) -> str:
         return _bad_row(long_rows.get(i, [ids[i], parent_ids[i], fields[i]]))
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or not _is_header(header):
-                raise TreeError("CSV header must be 'id,parent,weight'")
-            for row in reader:
-                if len(row) != 3:
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    if len(row) < 3:
-                        raise TreeError(f"malformed CSV row: {row!r}")
-                    long_rows[len(ids)] = row
-                ids.append(row[0])
-                parent_ids.append(row[1])
-                fields.append(row[2])
-        except (TreeError, csv.Error, UnicodeDecodeError) as exc:
-            _floats(fields, bad)  # a bad weight in an earlier row is reported first
-            if isinstance(exc, csv.Error):  # a field over the limit, or a NUL before Python 3.11
-                raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
-            if isinstance(exc, UnicodeDecodeError):  # its position is inside one decoded chunk
-                raise _undecodable(path, exc) from None
-            raise
-    w = _floats(fields, bad)
-    rows = _Parents()
-    rows.add(ids, parent_ids)
-    return rows, w
+    try:
+        header = next(reader, None)
+        if header is None or not _is_header(header):
+            raise TreeError("CSV header must be 'id,parent,weight'")
+        for row in reader:
+            if len(row) != 3:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 3:
+                    raise TreeError(f"malformed CSV row: {row!r}")
+                long_rows[len(ids)] = row
+            ids.append(row[0])
+            parent_ids.append(row[1])
+            fields.append(row[2])
+            if len(ids) == _BLOCK_ROWS:
+                yield ids, parent_ids, fields, message, float
+                ids, parent_ids, fields, long_rows = [], [], [], {}
+    except (TreeError, csv.Error, UnicodeDecodeError) as exc:
+        yield ids, parent_ids, fields, message, float
+        if isinstance(exc, csv.Error):  # a field over the limit, or a NUL before Python 3.11
+            raise TreeError(f"CSV line {reader.line_num}: {exc}") from None
+        if isinstance(exc, UnicodeDecodeError):  # its position is inside one decoded chunk
+            raise _undecodable(data, exc) from None
+        raise
+    yield ids, parent_ids, fields, message, float
 
 
-def _undecodable(path, exc: UnicodeDecodeError) -> TreeError:
+def _undecodable(data: bytes, exc: UnicodeDecodeError) -> TreeError:
     """The error for a file that is not UTF-8: the line and file offset of its first bad byte.
 
-    ``exc`` is the reader's error, whose position is inside one decoded
-    chunk; it is reported as it is if the file now decodes.
+    ``data`` is the file's bytes, with any BOM; ``exc`` is the reader's
+    error, whose position is inside one decoded chunk, and is reported as
+    it is if ``data`` decodes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         data.decode("utf-8-sig")
     except UnicodeDecodeError as first:

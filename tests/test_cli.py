@@ -126,6 +126,17 @@ class TestSolveCommand:
         assert 0 <= stats["pair_cost_over_2Kn"] <= 1
         assert stats["wall_time_sec"] >= 0
 
+    @pytest.mark.parametrize("algorithm", ["exact", "greedy"])
+    def test_K_far_above_n_writes_the_results_of_K_n(self, csv_tree, tmp_path, algorithm):
+        docs = []
+        for K in ("5", "1000000"):
+            out = tmp_path / f"{K}.json"
+            argv = ["--input", str(csv_tree), "-K", K, "--algorithm", algorithm, "--output", str(out)]
+            assert run(argv) == 0
+            docs.append(json.loads(out.read_text()))
+        assert (docs[0].pop("K"), docs[1].pop("K")) == (5, 1000000)
+        assert docs[0] == docs[1]
+
     def test_stdout_when_no_output_flag(self, csv_tree, capsys):
         assert run(["--input", str(csv_tree), "-K", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,28 @@ class TestSmallInstances:
     def test_unknown_mode_rejected(self, p4, mode):
         with pytest.raises(ValueError, match="mode"):
             DPTables(p4, 2, mode=mode)
+
+    @pytest.mark.parametrize("solve", [solve_exact, solve_greedy])
+    def test_K_far_above_n_equals_K_n(self, gap7, solve):
+        big, at_n = solve(gap7, 10**6), solve(gap7, gap7.n)
+        assert big.F.view(np.int64).tolist() == at_n.F.view(np.int64).tolist()
+        assert big.win.tolist() == at_n.win.tolist() and big.pair_cost == at_n.pair_cost
+        for k in range(1, gap7.n + 1):
+            assert big.rebuild(k) == at_n.rebuild(k)
+            assert big.entropy_bits(k).hex() == at_n.entropy_bits(k).hex()
+
+    def test_K_far_above_n_allocates_no_K_wide_array(self, gap7):
+        # Reconstruction's record-mode steps were K wide: 12 MB at K=10**6.
+        tracemalloc.start()
+        try:
+            for solve in (solve_exact, solve_greedy):
+                tables = solve(gap7, 10**6)
+                for k in range(1, tables.max_k + 1):
+                    tables.reconstruct(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_value_range_checked(self, p4):
         tb = solve_exact(p4, 2)

@@ -22,8 +22,10 @@ blank lines, extra fields, a BOM with CRLF and quoted ids, no rows, no
 header, two stars whose size folds overflow, an id longer than the csv
 module's field limit and one exactly as long, a NUL, a lone CR, mixed
 line ends, no final newline, a short row beside a long one, an empty id
-beside a second root, and a tree of several blocks of rows written last
-node first, both whole and with one unknown parent.
+beside a second root, a tree of several blocks of rows written last
+node first, both whole and with one unknown parent, and two quoted-id
+files of several blocks: a tree written last node first, and one with a
+bad weight in its first block and a short row in its third.
 
 No digests are stored: numpy picks its SIMD kernels by CPU, so
 ``np.log2`` bits can differ between hosts, while two revisions compare
@@ -76,7 +78,9 @@ BAD_JSON = {
 # 3.10.  The balanced file's short and long rows hold six commas, as two good
 # rows do.  An empty parent field names the root even beside an empty id.  The
 # binary trees are written last node first, so most rows name a parent whose
-# own row is blocks of rows later.
+# own row is blocks of rows later.  The quoted files go through csv.reader a
+# block at a time; the second has a bad weight in its first block and a short
+# row in its third, so the bad weight is reported.
 BAD_CSV = {
     "short-after-bad": "id,parent,weight\nr,,1\na,r,x\nb\n",
     "short-before-bad": "id,parent,weight\nr,,1\nb\na,r,x\n",
@@ -102,6 +106,11 @@ BAD_CSV = {
     + "".join(f"n{i},n{i // 2},{i % 3}\n" for i in range(10_000, 0, -1)) + "n0,,1\n",
     "forward-unknown": "id,parent,weight\n"
     + "".join(f"n{i},{'zz' if i == 17 else f'n{i // 2}'},1\n" for i in range(10_000, 0, -1)) + "n0,,1\n",
+    "quoted-blocks": "id,parent,weight\n"
+    + "".join(f'"n{i}","n{i // 2}",{i % 3}\n' for i in range(10_000, 0, -1)) + '"n0","",1\n',
+    "quoted-late-fault": 'id,parent,weight\n"n0",,1\n'
+    + "".join('"zz"\n' if i == 9000 else f'"n{i}","n{i // 2}",{"x" if i == 10 else 1}\n'
+              for i in range(1, 10_001)),
 }
 
 
