@@ -458,8 +458,10 @@ def _read_outcome(read, path):
 
 
 # The plain ids need no quotes; "@" stands for a NUL, put in after csv.writer.
+# Valid trees take no NUL: Python 3.10's csv rejects it, so it is a fault there.
 PLAIN_IDS = ["r", "a", "b", "c", "\u00e9 x", ""]
-CSV_IDS = [*PLAIN_IDS, "a,b", 'q"', "\u00e9\nx", "n@"]
+TREE_IDS = [*PLAIN_IDS, "a,b", 'q"', "\u00e9\nx"]
+CSV_IDS = [*TREE_IDS, "n@"]
 CSV_WEIGHTS = ["1", "0", "2.5", " 3 ", "-1", "-0", "nan", "inf", "1e400", "1_0", "0x1", "abc", ""]
 ROW_KINDS = ["row", "row", "row", "row", "short", "long", "blank", "pair"]
 
@@ -509,10 +511,10 @@ def tree_csv_files(draw):
     """CSV text of a valid tree over distinct ids, its rows in any order, so children may come first.
 
     About half the files draw their ids from ``PLAIN_IDS``, the rest from
-    ``CSV_IDS``; both hold "", which is a leaf whenever another id is
+    ``TREE_IDS``; both hold "", which is a leaf whenever another id is
     drawn, so an empty parent field must name the root beside an id "".
     """
-    ids = draw(st.lists(st.sampled_from(draw(st.sampled_from([PLAIN_IDS, CSV_IDS]))),
+    ids = draw(st.lists(st.sampled_from(draw(st.sampled_from([PLAIN_IDS, TREE_IDS]))),
                         min_size=1, unique=True))
     ids.sort(key=lambda x: x == "")  # "" last: every parent id below is another id
     good = CSV_WEIGHTS[:4]
@@ -522,7 +524,7 @@ def tree_csv_files(draw):
     writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     writer.writerow(["id", "parent", "weight"])
     writer.writerows(draw(st.permutations(rows)))
-    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue().replace("@", "\x00")
+    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
 
 
 def _same_as_reference(tmp_path_factory, text):
